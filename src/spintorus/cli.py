@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -184,8 +184,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     for d in dims:
         g = build_gamma(d)
         if cfg.inject_fault == "gamma-scale":
-            from dataclasses import replace
-
             bad = tuple(
                 2.0 * a if j == 0 else a for j, a in enumerate(g.alpha)
             )
@@ -223,11 +221,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         else:
             err = 0.0
             for k in (0, 1):
+                margin = 2**k
+                if margin > radius:  # the boundary margin leaves no interior
+                    continue
                 cover = build_cube_cover(lattice, k)
                 tot = np.zeros(lattice.shape)
                 for n in cover.centers:
                     tot += cube_symbol(cover, n)
-                margin = 2**k
                 sl = tuple(slice(margin, 2 * radius + 1 - margin) for _ in range(d))
                 err = max(err, float(np.abs(tot[sl] - 1.0).max()))
             checks.append(_check(f"cube_partition_d{d}", err, 1e-12))
@@ -303,12 +303,33 @@ def cmd_verify(cfg: RunConfig) -> int:
 # solve
 
 
-def _resolve_nonlinearity(name: str) -> PowerSeriesNonlinearity:
+def _resolve_nonlinearity(name: str, d0: int) -> PowerSeriesNonlinearity:
+    """Bundled family (built for spinor dimension d0) or JSON file path."""
     if name in ("none", "zero", "free"):
-        return PowerSeriesNonlinearity(2, {})
+        return PowerSeriesNonlinearity(d0, {})
     if name in BUNDLED:
-        return BUNDLED[name]()
+        return BUNDLED[name](d0)
     return load_nonlinearity_file(name)
+
+
+def _solve_setup(cfg: RunConfig, dt: float):
+    """Gamma set, solver configuration and initial data of solve and
+    compare-kg; raises OSError, ValueError, KeyError or TypeError on bad
+    input."""
+    d = cfg.d
+    g = build_gamma(d)
+    F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
+    if not F.is_zero() and F.d0 != g.d0:
+        raise ValueError(f"nonlinearity has d0={F.d0}, dimension d={d} needs {g.d0}")
+    s = cfg.s if cfg.s is not None else d / 2.0
+    scfg = SolveConfig(
+        d=d, radius=cfg.radius_for(d), dt=dt, horizon=cfg.horizon,
+        epsilon=cfg.epsilon, s=s, picard_tol=cfg.picard_tol,
+        max_iterations=cfg.max_iterations,
+        nonlinearity=None if F.is_zero() else F,
+    )
+    psi0 = gaussian_data(scfg.lattice(), g.d0, cfg.epsilon, s, seed=cfg.seed)
+    return g, scfg, psi0
 
 
 def _relative_defect(tr, F, g, mass: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -338,26 +359,11 @@ def _write_solve_csv(path: str, diagnostics: dict, defect, sobolev) -> None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    d = cfg.d
-    radius = cfg.radius_for(d)
-    g = build_gamma(d)
-    lattice = FrequencyLattice(d, radius)
     try:
-        F = _resolve_nonlinearity(cfg.nonlinearity)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load nonlinearity: {exc}", file=sys.stderr)
+        g, scfg, psi0 = _solve_setup(cfg, cfg.dt)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not F.is_zero() and F.d0 != g.d0:
-        print(f"error: nonlinearity has d0={F.d0}, dimension d={d} needs {g.d0}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    s = cfg.s if cfg.s is not None else d / 2.0
-    psi0 = gaussian_data(lattice, g.d0, cfg.epsilon, s, seed=cfg.seed)
-    scfg = SolveConfig(
-        d=d, radius=radius, dt=cfg.dt, horizon=cfg.horizon, epsilon=cfg.epsilon,
-        s=s, picard_tol=cfg.picard_tol, max_iterations=cfg.max_iterations,
-        nonlinearity=None if F.is_zero() else F,
-    )
     try:
         res = picard_solve(scfg, psi0)
     except PicardError as exc:
@@ -370,7 +376,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     times_in, values, rel_defect = _relative_defect(
         res.trajectory, scfg.nonlinearity, g, 1.0
     )
-    mon = sobolev_monitor(res.trajectory, s)
+    mon = sobolev_monitor(res.trajectory, scfg.s)
     os.makedirs(cfg.out, exist_ok=True)
     save_trajectory(res.trajectory, cfg.out, extra={
         "diagnostics": _jsonable(res.diagnostics),
@@ -396,23 +402,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 # compare-kg
 
 
-def _compare_once(cfg: RunConfig, dt: float):
-    d = cfg.d
-    radius = cfg.radius_for(d)
-    g = build_gamma(d)
-    lattice = FrequencyLattice(d, radius)
-    F = _resolve_nonlinearity(cfg.nonlinearity)
-    Fs = None if F.is_zero() else F
-    s = cfg.s if cfg.s is not None else d / 2.0
-    psi0 = gaussian_data(lattice, g.d0, cfg.epsilon, s, seed=cfg.seed)
-    scfg = SolveConfig(
-        d=d, radius=radius, dt=dt, horizon=cfg.horizon, epsilon=cfg.epsilon,
-        s=s, picard_tol=cfg.picard_tol, max_iterations=cfg.max_iterations,
-        nonlinearity=Fs, monitor_solution_norm=False,
-    )
-    res = picard_solve(scfg, psi0)
+def _compare_once(cfg: RunConfig, g, scfg: SolveConfig, psi0):
+    Fs = scfg.nonlinearity
+    res = picard_solve(replace(scfg, monitor_solution_norm=False), psi0)
     state = second_order_data(psi0, Fs, g, cfg.mass)
-    kg = evolve_klein_gordon(state, Fs, g, cfg.mass, dt, cfg.horizon)
+    kg = evolve_klein_gordon(state, Fs, g, cfg.mass, scfg.dt, scfg.horizon)
     m = res.trajectory.n_frames
     dist = float(
         np.linalg.norm(
@@ -426,7 +420,13 @@ def _compare_once(cfg: RunConfig, dt: float):
 
 def cmd_compare_kg(cfg: RunConfig) -> int:
     try:
-        dist, defect_first, defect_second = _compare_once(cfg, cfg.dt)
+        run = _solve_setup(cfg, cfg.dt)
+        run_half = _solve_setup(cfg, cfg.dt / 2.0) if cfg.refine else None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        dist, defect_first, defect_second = _compare_once(cfg, *run)
     except PicardError as exc:
         print(f"solver failed: {exc}")
         _write_report(cfg, {"command": "compare-kg", "passed": False,
@@ -439,7 +439,7 @@ def cmd_compare_kg(cfg: RunConfig) -> int:
         "defect_second_order": defect_second,
     }
     if cfg.refine:
-        dist_half, _, _ = _compare_once(cfg, cfg.dt / 2.0)
+        dist_half, _, _ = _compare_once(cfg, *run_half)
         payload["distance_refined"] = dist_half
         payload["refinement_factor"] = dist / dist_half if dist_half > 0 else np.inf
     ok = dist <= cfg.distance_budget
@@ -455,16 +455,16 @@ def cmd_compare_kg(cfg: RunConfig) -> int:
 
 
 def cmd_audit(cfg: RunConfig) -> int:
+    d = cfg.d
     try:
-        F = _resolve_nonlinearity(cfg.nonlinearity)
+        g = build_gamma(d)
+        F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
         if F.is_zero():
             print("error: empty coefficient series", file=sys.stderr)
             return EXIT_USAGE
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load nonlinearity: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    d = cfg.d
-    g = build_gamma(d)
     if F.d0 != g.d0:
         print(f"error: nonlinearity d0={F.d0} incompatible with d={d}",
               file=sys.stderr)

@@ -61,15 +61,6 @@ def wide_annulus_profile(s, j: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Handles to the radial cutoff family used across the package."""
-
-    lowpass = staticmethod(lowpass_profile)
-    annulus = staticmethod(annulus_profile)
-    wide_annulus = staticmethod(wide_annulus_profile)
-
-
 # ---------------------------------------------------------------------------
 # radial (Littlewood-Paley) blocks
 
@@ -95,10 +86,6 @@ def wide_radial_block(f: SpinorField, j: int) -> SpinorField:
     return SpinorField(
         f.lattice, f.d0, f.coeffs * wide_radial_symbol(f.lattice, j)[..., None]
     )
-
-
-def radial_block_trajectory(tr: Trajectory, j: int) -> Trajectory:
-    return tr.map_symbol(radial_symbol(tr.lattice, j))
 
 
 def radial_scale_range(lattice: FrequencyLattice) -> tuple[int, int]:

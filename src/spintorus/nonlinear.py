@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import GammaSet
-from .spectral import FrequencyLattice, SpinorField, forward_fourier, inverse_fourier
+from .spectral import FrequencyLattice, SpinorField, from_grid, to_grid
 
 
 @dataclass
@@ -222,19 +222,28 @@ def padded_grid_size(lattice: FrequencyLattice, degree: int) -> int:
     return (max(degree, 1) + 1) * lattice.radius + 1
 
 
-def evaluate_on_field(F: PowerSeriesNonlinearity, f: SpinorField) -> SpinorField:
-    """Pointwise F on a padded physical grid, transformed back and truncated.
+def evaluate_coefficients(
+    F: PowerSeriesNonlinearity, coeffs: np.ndarray, lattice: FrequencyLattice
+) -> np.ndarray:
+    """Lattice coefficients of F(psi) for psi given by its coefficients, with
+    any number of leading batch axes (e.g. the frames of a trajectory).
 
-    The padding rule makes the truncated coefficients exact: no aliased copy
-    of the degree-|p| product spectrum can reach the lattice.
+    F is evaluated pointwise on a padded physical grid, transformed back and
+    truncated.  The padding rule makes the truncated coefficients exact: no
+    aliased copy of the degree-|p| product spectrum can reach the lattice.
     """
+    if F.is_zero():
+        return np.zeros_like(coeffs)
+    grid = padded_grid_size(lattice, F.max_degree)
+    values = to_grid(coeffs, lattice.d, grid)
+    return from_grid(evaluate(F, values), lattice.d, lattice.radius)
+
+
+def evaluate_on_field(F: PowerSeriesNonlinearity, f: SpinorField) -> SpinorField:
+    """``evaluate_coefficients`` on one field."""
     if F.d0 != f.d0:
         raise ValueError("nonlinearity and field spinor dimensions differ")
-    if F.is_zero():
-        return SpinorField.zeros(f.lattice, f.d0)
-    grid = padded_grid_size(f.lattice, F.max_degree)
-    values = inverse_fourier(f, grid)
-    return forward_fourier(evaluate(F, values), f.lattice)
+    return SpinorField(f.lattice, f.d0, evaluate_coefficients(F, f.coeffs, f.lattice))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .spectral import (
     SpinorField,
     Trajectory,
     derivative_monomial,
+    grid_lq_norms,
     lq_norm,
     project_dirac,
     random_field,
@@ -127,19 +128,10 @@ def _spatial_norms(tr: Trajectory, q: float, grid: int | None = None) -> np.ndar
         return np.linalg.norm(
             tr.frames.reshape(tr.n_frames, -1), axis=1
         )
-    d, n = tr.lattice.d, tr.lattice.radius
     if grid is None:
         qq = int(q) if q != np.inf and float(q).is_integer() else 4
-        grid = max(qq, 4) * n + 1
-    spec = np.zeros((tr.n_frames,) + (grid,) * d + (tr.d0,), dtype=np.complex128)
-    idx = np.arange(-n, n + 1) % grid
-    spec[(slice(None),) + np.ix_(*([idx] * d))] = tr.frames
-    u = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * float(grid) ** d
-    mag = np.linalg.norm(u, axis=-1)
-    flat = mag.reshape(tr.n_frames, -1)
-    if q == np.inf:
-        return flat.max(axis=1)
-    return np.mean(flat**q, axis=1) ** (1.0 / q)
+        grid = max(qq, 4) * tr.lattice.radius + 1
+    return grid_lq_norms(tr.frames, tr.lattice.d, q, grid)
 
 
 def mixed_norm(tr: Trajectory, p: float, q: float) -> float:
@@ -181,18 +173,7 @@ def _box_spatial_norms(box: np.ndarray, q: float, half: int) -> np.ndarray:
     else:
         grid = 4 * half + 3
     grid = max(grid, max(box.shape[1 : 1 + d]))
-    spec = np.zeros((m_frames,) + (grid,) * d + (box.shape[-1],), dtype=np.complex128)
-    idx_list = []
-    for ax in range(d):
-        n_ax = box.shape[1 + ax]
-        offs = np.arange(n_ax) - n_ax // 2
-        idx_list.append(offs % grid)
-    spec[(slice(None),) + np.ix_(*idx_list)] = box
-    u = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * float(grid) ** d
-    mag = np.linalg.norm(u, axis=-1).reshape(m_frames, -1)
-    if q == np.inf:
-        return mag.max(axis=1)
-    return np.mean(mag**q, axis=1) ** (1.0 / q)
+    return grid_lq_norms(box, d, q, grid)
 
 
 def sector_norm(

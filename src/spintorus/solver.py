@@ -22,6 +22,7 @@ from .clifford import GammaSet, build_gamma
 from .nonlinear import (
     PowerSeriesNonlinearity,
     evaluate,
+    evaluate_coefficients,
     jacobian,
     padded_grid_size,
 )
@@ -30,9 +31,11 @@ from .spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    from_grid,
     project_dirac,
     projector_multiplier,
     random_field,
+    to_grid,
 )
 
 
@@ -51,7 +54,6 @@ class SplitState:
     plus: SpinorField
     minus: SpinorField
     g: GammaSet
-    mass: float = 1.0
 
     def total(self) -> SpinorField:
         return self.plus + self.minus
@@ -80,10 +82,11 @@ class SolveConfig:
     monitor_solution_norm: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.picard_tol <= 0:
-            raise ValueError("dt, horizon and picard_tol must be positive")
+        if min(self.dt, self.horizon, self.epsilon, self.picard_tol) <= 0:
+            raise ValueError("dt, horizon, epsilon and picard_tol must be positive")
         if self.s is None:
             self.s = self.d / 2.0
+        self.n_frames  # noqa: B018  (raises unless horizon / dt is a whole number)
 
     @property
     def n_frames(self) -> int:
@@ -96,13 +99,12 @@ class SolveConfig:
         return FrequencyLattice(self.d, self.radius)
 
 
-def split(psi0: SpinorField, g: GammaSet, mass: float = 1.0) -> SplitState:
+def split(psi0: SpinorField, g: GammaSet) -> SplitState:
     """Project initial data onto the half-wave branches."""
     return SplitState(
         plus=project_dirac(g, psi0, +1),
         minus=project_dirac(g, psi0, -1),
         g=g,
-        mass=mass,
     )
 
 
@@ -112,38 +114,6 @@ def half_wave(f: SpinorField, t: float, sign: int) -> SpinorField:
         raise ValueError("sign must be +1 or -1")
     phase = np.exp(-1j * sign * t * f.lattice.bracket)
     return SpinorField(f.lattice, f.d0, f.coeffs * phase[..., None])
-
-
-# ---------------------------------------------------------------------------
-# batched grid evaluation of the nonlinearity
-
-
-def _batch_inverse(frames: np.ndarray, lattice: FrequencyLattice, grid: int):
-    d, n = lattice.d, lattice.radius
-    m = frames.shape[0]
-    spec = np.zeros((m,) + (grid,) * d + (frames.shape[-1],), dtype=np.complex128)
-    idx = np.arange(-n, n + 1) % grid
-    spec[(slice(None),) + np.ix_(*([idx] * d))] = frames
-    return np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * float(grid) ** d
-
-
-def _batch_forward(values: np.ndarray, lattice: FrequencyLattice):
-    d, n = lattice.d, lattice.radius
-    grid = values.shape[1]
-    spec = np.fft.fftn(values, axes=tuple(range(1, d + 1))) / float(grid) ** d
-    idx = np.arange(-n, n + 1) % grid
-    return np.ascontiguousarray(spec[(slice(None),) + np.ix_(*([idx] * d))])
-
-
-def _nonlinear_coefficients(
-    F: PowerSeriesNonlinearity, frames: np.ndarray, lattice: FrequencyLattice
-) -> np.ndarray:
-    """beta-free F(psi) coefficients for a batch of frames (anti-aliased)."""
-    if F.is_zero():
-        return np.zeros_like(frames)
-    grid = padded_grid_size(lattice, F.max_degree)
-    values = _batch_inverse(frames, lattice, grid)
-    return _batch_forward(evaluate(F, values), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +133,26 @@ def _apply_matrix(mult, frames: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,k...b->k...a", mult.values, frames)
 
 
+def _phases(times: np.ndarray, lattice: FrequencyLattice) -> dict:
+    """e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape."""
+    t = times.reshape((-1,) + (1,) * lattice.d)
+    return {s: np.exp(-1j * s * t * lattice.bracket) for s in (+1, -1)}
+
+
+def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet, proj: dict,
+                         phase: dict, dt: float, total: np.ndarray) -> dict:
+    """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
+    signs at every frame time, with trapezoid quadrature on the frame grid;
+    ``total`` holds psi on the frames."""
+    fhat = evaluate_coefficients(F, total, proj[+1].lattice)
+    fhat = np.einsum("ab,k...b->k...a", g.beta, fhat)
+    out = {}
+    for s in (+1, -1):
+        integrand = np.conj(phase[s])[..., None] * _apply_matrix(proj[s], fhat)
+        out[s] = 1j * phase[s][..., None] * _cumulative_trapezoid(integrand, dt)
+    return out
+
+
 class _DuhamelMap:
     """The discrete fixed-point map on branch trajectories.
 
@@ -175,17 +165,10 @@ class _DuhamelMap:
                  F: PowerSeriesNonlinearity | None, psi0: SpinorField,
                  times: np.ndarray):
         self.g = g
-        self.lattice = lattice
         self.F = F
-        self.times = times
         self.dt = float(times[1] - times[0]) if times.size > 1 else 0.0
         self.proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
-        bracket = lattice.bracket
-        # phases e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape
-        self.phase = {
-            s: np.exp(-1j * s * times.reshape((-1,) + (1,) * lattice.d) * bracket)
-            for s in (+1, -1)
-        }
+        self.phase = _phases(times, lattice)
         self.free = {
             s: self.phase[s][..., None]
             * project_dirac(g, psi0, s).coeffs[None, ...]
@@ -198,16 +181,9 @@ class _DuhamelMap:
     def apply(self, plus: np.ndarray, minus: np.ndarray):
         if self.F is None or self.F.is_zero():
             return self.free_pair()
-        total = plus + minus
-        fhat = _nonlinear_coefficients(self.F, total, self.lattice)
-        fhat = np.einsum("ab,k...b->k...a", self.g.beta, fhat)
-        out = {}
-        for s in (+1, -1):
-            proj = _apply_matrix(self.proj[s], fhat)
-            integrand = np.conj(self.phase[s])[..., None] * proj  # e^{+i sign s <xi>}
-            acc = _cumulative_trapezoid(integrand, self.dt)
-            out[s] = self.free[s] + 1j * self.phase[s][..., None] * acc
-        return out[+1], out[-1]
+        corr = _duhamel_corrections(self.F, self.g, self.proj, self.phase,
+                                    self.dt, plus + minus)
+        return self.free[+1] + corr[+1], self.free[-1] + corr[-1]
 
 
 def duhamel_integral(
@@ -231,14 +207,13 @@ def duhamel_integral(
     if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not a frame time")
     lattice = plus_tr.lattice
-    zero = SpinorField.zeros(lattice, plus_tr.d0)
-    dummy = _DuhamelMap(g, lattice, F, zero, times[: k + 1])
-    plus, minus = dummy.apply(
-        plus_tr.frames[: k + 1], minus_tr.frames[: k + 1]
-    )
+    proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
+    total = plus_tr.frames[: k + 1] + minus_tr.frames[: k + 1]
+    corr = _duhamel_corrections(F, g, proj, _phases(times[: k + 1], lattice),
+                                plus_tr.dt, total)
     return (
-        SpinorField(lattice, plus_tr.d0, plus[-1]),
-        SpinorField(lattice, plus_tr.d0, minus[-1]),
+        SpinorField(lattice, plus_tr.d0, corr[+1][-1]),
+        SpinorField(lattice, plus_tr.d0, corr[-1][-1]),
     )
 
 
@@ -368,7 +343,7 @@ def evolve_dirac_rk4(
         if F is None or F.is_zero():
             fhat = np.zeros_like(total)
         else:
-            fhat = _nonlinear_coefficients(F, total[None], lattice)[0]
+            fhat = evaluate_coefficients(F, total, lattice)
         fhat = np.einsum("ab,...b->...a", g.beta, fhat)
         out = {}
         for s in (+1, -1):
@@ -412,9 +387,7 @@ def second_order_data(
         v -= np.einsum("ab,...b->...a", g.alpha[j], dj)
     v -= 1j * mass * np.einsum("ab,...b->...a", g.beta, coeffs)
     if F is not None and not F.is_zero():
-        from .nonlinear import evaluate_on_field
-
-        fc = evaluate_on_field(F, psi0).coeffs
+        fc = evaluate_coefficients(F, coeffs, lattice)
         v += 1j * np.einsum("ab,...b->...a", g.beta, fc)
     return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, v))
 
@@ -430,11 +403,9 @@ def _second_order_rhs(
     if F is None or F.is_zero():
         return np.zeros_like(u_hat)
     grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
-    psi = _batch_inverse(u_hat[None], lattice, grid)[0]
-    derivs = []
-    for j in range(g.d):
-        dj_hat = 1j * lattice.xi[..., j, None] * u_hat
-        derivs.append(_batch_inverse(dj_hat[None], lattice, grid)[0])
+    psi = to_grid(u_hat, lattice.d, grid)
+    derivs = [to_grid(1j * lattice.xi[..., j, None] * u_hat, lattice.d, grid)
+              for j in range(g.d)]
     jac = jacobian(F, psi)
     fval = evaluate(F, psi)
     gamma0 = g.gamma[0]
@@ -451,7 +422,7 @@ def _second_order_rhs(
     g0f = np.einsum("ab,...b->...a", gamma0, fval)
     out -= np.einsum("ab,...b->...a", gamma0,
                      np.einsum("...ab,...b->...a", jac, g0f))
-    return _batch_forward(out[None], lattice)[0]
+    return from_grid(out, lattice.d, lattice.radius)
 
 
 def evolve_klein_gordon(
@@ -535,7 +506,7 @@ def dirac_residual(
         res += 1j * np.einsum("ab,k...b->k...a", g.gamma[j + 1], dj)
     res -= mass * mid
     if F is not None and not F.is_zero():
-        res += _nonlinear_coefficients(F, mid, lattice)
+        res += evaluate_coefficients(F, mid, lattice)
     m = res.shape[0]
     values = np.linalg.norm(res.reshape(m, -1), axis=1) ** 2
     return tr.times[1:-1], values

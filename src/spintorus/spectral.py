@@ -7,8 +7,13 @@ Conventions (used consistently across the package):
   xi_i = i - N along each axis.
 * forward transform carries the 1/(2pi)^d factor, the inverse is the plain
   series sum, so Plancherel reads (2pi)^{-d} int |u|^2 dx = sum_xi |u^(xi)|^2
-  and the L^2 norm of a field equals the l^2 norm of its coefficients.
+  and the L^2 norm of a field equals the l^2 norm of its coefficients.  On a
+  uniform grid this is exactly numpy's ``norm="forward"``: the forward DFT is
+  scaled by 1/n, the inverse is unscaled.
 * L^q norms on the torus use the normalised measure dx/(2pi)^d.
+* ``to_grid`` / ``from_grid`` are the one place where coefficients are placed
+  on (and truncated from) a padded spatial grid and where the FFT backend is
+  chosen; every other module goes through them.
 """
 
 from __future__ import annotations
@@ -164,6 +169,53 @@ def random_field(
 # transforms
 
 
+@lru_cache(maxsize=64)
+def _placement(shape: tuple[int, ...], grid: int) -> tuple[np.ndarray, ...]:
+    """Grid indices of a coefficient box: index i of an axis of length n sits
+    at frequency i - n//2 (for a lattice axis, n = 2N+1, that is i - N)."""
+    if max(shape) > grid:
+        raise ValueError(f"grid with {grid} points per axis aliases a {shape} box")
+    index = np.ix_(*[(np.arange(n) - n // 2) % grid for n in shape])
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
+    """Coefficients -> field values on the uniform grid of ``grid``^d points.
+
+    ``coeffs`` has shape batch + box + (d0,) with d box axes, placed by
+    ``_placement``; any number of leading batch axes is transformed at once.
+    """
+    spec = np.zeros(coeffs.shape[: -d - 1] + (grid,) * d + coeffs.shape[-1:],
+                    dtype=np.complex128)
+    index = _placement(coeffs.shape[-d - 1 : -1], grid)
+    spec[(Ellipsis,) + index + (slice(None),)] = coeffs
+    return np.fft.ifftn(spec, axes=tuple(range(-d - 1, -1)), norm="forward")
+
+
+def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
+    """Field values on a uniform grid -> coefficients on the radius-``radius``
+    lattice (the inverse of ``to_grid`` on band-limited fields).
+
+    ``values`` has shape batch + (grid,)*d + (d0,); the batch axes are kept.
+    """
+    grid = values.shape[-2]
+    spec = np.fft.fftn(values, axes=tuple(range(-d - 1, -1)), norm="forward")
+    index = _placement((2 * radius + 1,) * d, grid)
+    return np.ascontiguousarray(spec[(Ellipsis,) + index + (slice(None),)])
+
+
+def grid_lq_norms(coeffs: np.ndarray, d: int, q: float, grid: int) -> np.ndarray:
+    """Spatial L^q norms (normalised measure) of a batch of coefficient boxes,
+    by quadrature on ``grid``^d points; one value per batch entry."""
+    mag = np.linalg.norm(to_grid(coeffs, d, grid), axis=-1)
+    flat = mag.reshape(mag.shape[: mag.ndim - d] + (-1,))
+    if q == np.inf:
+        return flat.max(axis=-1)
+    return np.mean(flat**q, axis=-1) ** (1.0 / q)
+
+
 def forward_fourier(samples: np.ndarray, lattice: FrequencyLattice) -> SpinorField:
     """Grid samples -> lattice coefficients with the 1/(2pi)^d normalisation.
 
@@ -181,22 +233,15 @@ def forward_fourier(samples: np.ndarray, lattice: FrequencyLattice) -> SpinorFie
         raise ValueError(
             f"grid with {m} points per axis aliases a radius-{radius} lattice"
         )
-    spec = np.fft.fftn(samples, axes=tuple(range(d))) / float(m) ** d
-    idx = np.arange(-radius, radius + 1) % m
-    out = spec[np.ix_(*([idx] * d))]
-    return SpinorField(lattice, samples.shape[-1], np.ascontiguousarray(out))
+    return SpinorField(lattice, samples.shape[-1], from_grid(samples, d, radius))
 
 
 def inverse_fourier(f: SpinorField, grid: int | None = None) -> np.ndarray:
     """Evaluate the finite Fourier series on a uniform grid of ``grid``^d points."""
-    d, radius = f.lattice.d, f.lattice.radius
     m = grid if grid is not None else f.lattice.min_grid()
-    if m < 2 * radius + 1:
+    if m < 2 * f.lattice.radius + 1:
         raise ValueError("grid too coarse for the lattice (aliasing)")
-    spec = np.zeros((m,) * d + (f.d0,), dtype=np.complex128)
-    idx = np.arange(-radius, radius + 1) % m
-    spec[np.ix_(*([idx] * d))] = f.coeffs
-    return np.fft.ifftn(spec, axes=tuple(range(d))) * float(m) ** d
+    return to_grid(f.coeffs, f.lattice.d, m)
 
 
 def lq_norm(f: SpinorField, q: float, grid: int | None = None) -> float:
@@ -212,11 +257,7 @@ def lq_norm(f: SpinorField, q: float, grid: int | None = None) -> float:
     if grid is None:
         qq = int(q) if q not in (np.inf,) and float(q).is_integer() else 4
         grid = max(qq, 4) * n + 1
-    u = inverse_fourier(f, grid)
-    mag = np.linalg.norm(u, axis=-1)
-    if q == np.inf:
-        return float(mag.max())
-    return float(np.mean(mag**q) ** (1.0 / q))
+    return float(grid_lq_norms(f.coeffs, f.lattice.d, q, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +423,3 @@ class Trajectory:
             self.lattice, self.d0, self.times, self.frames * values[None, ..., None]
         )
 
-
-def trajectory_from_fields(times, fields: list[SpinorField]) -> Trajectory:
-    frames = np.stack([f.coeffs for f in fields], axis=0)
-    return Trajectory(fields[0].lattice, fields[0].d0, np.asarray(times), frames)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from spintorus.cli import (
     EXIT_AUDIT,
     EXIT_INVARIANT,
@@ -47,6 +49,16 @@ def test_verify_structural_mode(tmp_path):
     assert "free_flow_exactness" in skipped
 
 
+@pytest.mark.parametrize(
+    "flags", [["--dims", "4"], ["--dims", "1", "--lattice-radius", "1"]]
+)
+def test_verify_at_radius_one(tmp_path, flags):
+    # the cube-partition check skips scales whose boundary margin leaves no interior
+    out = str(tmp_path / "v1")
+    assert main(["verify", "--out", out] + flags) == EXIT_OK
+    assert _read_report(out)["passed"] is True
+
+
 def test_verify_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -68,6 +80,19 @@ def test_solve_bundled_cubic(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
     assert os.path.exists(os.path.join(out, "frames", "frame_00000.spf"))
+
+
+def test_solve_d3_bundled_cubic(tmp_path):
+    # the bundled families are built at the gamma set's spinor dimension (d0=4)
+    out = str(tmp_path / "s3")
+    code = main([
+        "solve", "--out", out, "--d", "3", "--lattice-radius", "2",
+        "--dt", str(1 / 64), "--horizon", "0.25",
+    ])
+    assert code == EXIT_OK
+    rep = _read_report(out)
+    assert rep["converged"] is True
+    assert rep["relative_defect"] <= 1e-6
 
 
 def test_solve_free_flow_defect(tmp_path):
@@ -175,3 +200,7 @@ def test_reports_are_byte_deterministic(tmp_path):
 def test_usage_exit_on_bad_flag():
     assert main(["solve", "--no-such-flag"]) == EXIT_USAGE
     assert main(["verify", "--config", "/missing/config.json"]) == EXIT_USAGE
+    assert main(["solve", "--dt", "0.3"]) == EXIT_USAGE
+    assert main(["solve", "--lattice-radius", "0"]) == EXIT_USAGE
+    assert main(["solve", "--epsilon", "-1"]) == EXIT_USAGE
+    assert main(["compare-kg", "--nonlinearity", "/missing.json"]) == EXIT_USAGE

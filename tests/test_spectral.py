@@ -1,8 +1,11 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import spintorus
 from spintorus.clifford import build_gamma
 from spintorus.spectral import (
     FrequencyLattice,
@@ -12,6 +15,7 @@ from spintorus.spectral import (
     apply_multiplier,
     bracket_multiplier,
     forward_fourier,
+    from_grid,
     inverse_fourier,
     japanese_bracket,
     partial_derivative,
@@ -20,6 +24,7 @@ from spintorus.spectral import (
     projector_symbol,
     random_field,
     scalar_multiplier,
+    to_grid,
 )
 
 
@@ -78,6 +83,55 @@ def test_inverse_indicator_and_zero():
     assert np.abs(u[..., 1] + 1j * np.exp(1j * 3 * x)).max() <= 1e-13
     z = inverse_fourier(SpinorField.zeros(lat, 2), 16)
     assert np.abs(z).max() == 0.0
+
+
+@pytest.mark.parametrize("d, radius, grid", [(1, 6, 19), (2, 3, 10), (3, 2, 7)])
+def test_batched_grid_pair_matches_per_frame_transforms(rng, d, radius, grid):
+    lat = FrequencyLattice(d, radius)
+    frames = np.stack([random_field(lat, 2, rng).coeffs for _ in range(4)])
+    values = to_grid(frames, d, grid)
+    assert values.shape == (4,) + (grid,) * d + (2,)
+    for k in range(4):
+        ref = inverse_fourier(SpinorField(lat, 2, frames[k]), grid)
+        assert np.abs(values[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+    coeffs = from_grid(values, d, radius)
+    assert coeffs.shape == frames.shape
+    for k in range(4):
+        ref = forward_fourier(values[k], lat).coeffs
+        assert np.abs(coeffs[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+    # two batch axes behave like one
+    stacked = to_grid(frames.reshape((2, 2) + frames.shape[1:]), d, grid)
+    assert np.array_equal(stacked.reshape(values.shape), values)
+
+
+@pytest.mark.parametrize("box_shape", [(4,), (5,), (3, 4), (4, 5, 2)])
+def test_to_grid_places_boxes_at_centred_offsets(rng, box_shape):
+    # index i of a box axis of length n sits at frequency i - n//2, for even
+    # and odd n: the explicit placement the cube-sector norms were built on
+    d, grid = len(box_shape), 9
+    box = rng.standard_normal((3,) + box_shape + (2,)) + 0j
+    spec = np.zeros((3,) + (grid,) * d + (2,), dtype=np.complex128)
+    index = np.ix_(*[(np.arange(n) - n // 2) % grid for n in box_shape])
+    spec[(slice(None),) + index] = box
+    ref = np.fft.ifftn(spec, axes=tuple(range(1, d + 1))) * float(grid) ** d
+    out = to_grid(box, d, grid)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_to_grid_rejects_box_wider_than_grid():
+    with pytest.raises(ValueError, match="alias"):
+        to_grid(np.zeros((2, 7, 1), dtype=complex), 1, 6)
+
+
+def test_spatial_ffts_only_in_spectral():
+    # the lattice <-> grid placement and the FFT backend live in one module
+    src = pathlib.Path(spintorus.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py" and re.search(r"fftn\(", path.read_text())
+    ]
+    assert offenders == []
 
 
 def test_plancherel_quadrature(rng):
