@@ -180,9 +180,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     checks: list[dict] = []
     dims = (9,) if cfg.structural and cfg.dims == (1, 2, 3) else cfg.dims
+    try:
+        gammas = {d: build_gamma(d) for d in dims}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     for d in dims:
-        g = build_gamma(d)
+        g = gammas[d]
         if cfg.inject_fault == "gamma-scale":
             bad = tuple(
                 2.0 * a if j == 0 else a for j, a in enumerate(g.alpha)
@@ -203,7 +208,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for d in dims:
         radius = cfg.radius_for(d)
         lattice = FrequencyLattice(d, radius)
-        d0 = build_gamma(d).d0
+        d0 = gammas[d].d0
         err = 0.0
         jmax = max(int(np.ceil(np.log2(np.sqrt(d) * radius))), 1)
         for _ in range(50):
@@ -262,8 +267,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             checks.append(chk)
 
         # half-wave unitarity
-        lattice_u = FrequencyLattice(d, cfg.radius_for(d))
-        f = random_field(lattice_u, build_gamma(d).d0, rng)
+        f = random_field(lattice, d0, rng)
         drift = 0.0
         base = f.l2_norm()
         for t in rng.uniform(-5.0, 5.0, size=16):
@@ -316,6 +320,9 @@ def _solve_setup(cfg: RunConfig, dt: float):
     """Gamma set, solver configuration and initial data of solve and
     compare-kg; raises OSError, ValueError, KeyError or TypeError on bad
     input."""
+    if cfg.mass != 1.0:
+        raise ValueError(f"mass {cfg.mass} is not supported: the split solver "
+                         "is normalised to mass 1")
     d = cfg.d
     g = build_gamma(d)
     F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)

@@ -2,7 +2,10 @@
 
 The first-order system is split into half-wave branches by the frequency
 projectors and solved as a fixed point of the Duhamel map with trapezoid
-quadrature on a uniform frame grid (Picard iteration).  Cross-checks: a
+quadrature on a uniform frame grid (Picard iteration).  The map reads the
+branches only through their sum, so the iterate is the solution psi on the
+frames; the branches Pi_pm psi are formed from the projectors once, after
+convergence, for the diagnostics.  Cross-checks: a
 fourth-order interaction-picture Runge-Kutta integrator of the same system,
 the equivalent second-order (Klein-Gordon type) evolution, and the pointwise
 equation residual along any trajectory.
@@ -67,6 +70,15 @@ class SecondOrderState:
     v: SpinorField
 
 
+def frame_count(dt: float, horizon: float) -> int:
+    """Number of frames 0, dt, ..., horizon; raises unless horizon / dt is a
+    whole number."""
+    m = int(round(horizon / dt)) + 1
+    if abs((m - 1) * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be an integer number of steps")
+    return m
+
+
 @dataclass
 class SolveConfig:
     d: int
@@ -77,7 +89,6 @@ class SolveConfig:
     s: float | None = None
     picard_tol: float = 1e-12
     max_iterations: int = 25
-    mass: float = 1.0
     nonlinearity: PowerSeriesNonlinearity | None = None
     monitor_solution_norm: bool = True
 
@@ -90,10 +101,7 @@ class SolveConfig:
 
     @property
     def n_frames(self) -> int:
-        m = int(round(self.horizon / self.dt)) + 1
-        if abs((m - 1) * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be an integer number of steps")
-        return m
+        return frame_count(self.dt, self.horizon)
 
     def lattice(self) -> FrequencyLattice:
         return FrequencyLattice(self.d, self.radius)
@@ -153,39 +161,6 @@ def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet, proj: dict,
     return out
 
 
-class _DuhamelMap:
-    """The discrete fixed-point map on branch trajectories.
-
-    new_pm(t_k) = e^{-/+ i t_k <D>} Pi_pm psi0
-                  + i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds
-    with trapezoid quadrature on the frame grid.
-    """
-
-    def __init__(self, g: GammaSet, lattice: FrequencyLattice,
-                 F: PowerSeriesNonlinearity | None, psi0: SpinorField,
-                 times: np.ndarray):
-        self.g = g
-        self.F = F
-        self.dt = float(times[1] - times[0]) if times.size > 1 else 0.0
-        self.proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
-        self.phase = _phases(times, lattice)
-        self.free = {
-            s: self.phase[s][..., None]
-            * project_dirac(g, psi0, s).coeffs[None, ...]
-            for s in (+1, -1)
-        }
-
-    def free_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.free[+1].copy(), self.free[-1].copy()
-
-    def apply(self, plus: np.ndarray, minus: np.ndarray):
-        if self.F is None or self.F.is_zero():
-            return self.free_pair()
-        corr = _duhamel_corrections(self.F, self.g, self.proj, self.phase,
-                                    self.dt, plus + minus)
-        return self.free[+1] + corr[+1], self.free[-1] + corr[-1]
-
-
 def duhamel_integral(
     branches: tuple[Trajectory, Trajectory],
     F: PowerSeriesNonlinearity,
@@ -220,8 +195,6 @@ def duhamel_integral(
 @dataclass
 class PicardResult:
     trajectory: Trajectory
-    plus: Trajectory
-    minus: Trajectory
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -233,11 +206,18 @@ def _sup_frame_norm(frames: np.ndarray) -> float:
 def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     """Solve the split system by Picard iteration of the Duhamel map.
 
-    Starts from the free evolution of the split data and iterates until the
-    sup-in-time relative L^2 distance between successive iterates drops
-    below the tolerance.  Aborts with diagnostics if the map stops
-    contracting (ratio >= 1 for three consecutive iterations) or the
-    tolerance is not reached within the iteration budget.
+    The iterate is psi on the frames.  Each step maps it to
+
+        psi_new(t_k) = sum_pm [ e^{-/+ i t_k <D>} Pi_pm psi0
+                       + i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds ]
+
+    with trapezoid quadrature on the frame grid, starting from the free
+    evolution of the data, until the sup-in-time relative L^2 distance
+    between successive iterates drops below the tolerance.  Aborts with
+    diagnostics if the map stops contracting (ratio >= 1 for three
+    consecutive iterations) or the tolerance is not reached within the
+    iteration budget.  The branches Pi_pm psi are formed once, at the end,
+    for the range-defect and solution-norm diagnostics.
     """
     lattice = cfg.lattice()
     g = build_gamma(cfg.d)
@@ -248,64 +228,60 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         raise ValueError(
             f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}"
         )
+    F = cfg.nonlinearity
     times = cfg.dt * np.arange(cfg.n_frames)
-    tmap = _DuhamelMap(g, lattice, cfg.nonlinearity, psi0, times)
-    plus, minus = tmap.free_pair()
+    proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
+    phase = _phases(times, lattice)
+    free = sum(phase[s][..., None] * project_dirac(g, psi0, s).coeffs
+               for s in (+1, -1))
+
+    def duhamel_map(psi: np.ndarray) -> np.ndarray:
+        if F is None or F.is_zero():
+            return free
+        corr = _duhamel_corrections(F, g, proj, phase, cfg.dt, psi)
+        return free + corr[+1] + corr[-1]
+
+    psi = free
     distances: list[float] = []
     ratios: list[float] = []
     diagnostics: dict = {"distances": distances, "ratios": ratios}
-    converged = cfg.nonlinearity is None or cfg.nonlinearity.is_zero()
-    iterations = 0
+    converged = False
     for it in range(1, cfg.max_iterations + 1):
-        if converged and it > 1:
-            break
-        new_plus, new_minus = tmap.apply(plus, minus)
-        scale = max(_sup_frame_norm(plus + minus), 1e-300)
-        dist = _sup_frame_norm((new_plus + new_minus) - (plus + minus)) / scale
+        new = duhamel_map(psi)
+        dist = _sup_frame_norm(new - psi) / max(_sup_frame_norm(psi), 1e-300)
         distances.append(dist)
+        diagnostics["iterations"] = it
         if not math.isfinite(dist):
-            diagnostics["iterations"] = it
             raise PicardError("iteration diverged (non-finite distance)", diagnostics)
         if len(distances) > 1 and distances[-2] > 0:
             ratios.append(distances[-1] / distances[-2])
-        plus, minus = new_plus, new_minus
-        iterations = it
+        psi = new
         if dist < cfg.picard_tol:
             converged = True
             break
         if len(ratios) >= 3 and all(r >= 1.0 for r in ratios[-3:]):
-            diagnostics["iterations"] = iterations
             raise PicardError("fixed-point map is not contracting", diagnostics)
-    diagnostics["iterations"] = iterations
     diagnostics["converged"] = converged
     if not converged:
         raise PicardError("tolerance not reached within the iteration budget",
                           diagnostics)
+    scale = max(_sup_frame_norm(psi), 1e-300)
     # residual under one more application of the map
-    res_plus, res_minus = tmap.apply(plus, minus)
-    scale = max(_sup_frame_norm(plus + minus), 1e-300)
-    diagnostics["duhamel_residual"] = (
-        _sup_frame_norm((res_plus + res_minus) - (plus + minus)) / scale
-    )
+    diagnostics["duhamel_residual"] = _sup_frame_norm(duhamel_map(psi) - psi) / scale
     # branch-range defects: each branch must stay in its projector's range
-    defect = 0.0
-    for s, frames in ((+1, plus), (-1, minus)):
-        comp = _apply_matrix(tmap.proj[-s], frames)
-        defect = max(defect, _sup_frame_norm(comp) / scale)
-    diagnostics["projector_range_defect"] = defect
-    plus_tr = Trajectory(lattice, g.d0, times, plus)
-    minus_tr = Trajectory(lattice, g.d0, times, minus)
+    plus = _apply_matrix(proj[+1], psi)
+    branches = {+1: plus, -1: psi - plus}
+    diagnostics["projector_range_defect"] = max(
+        _sup_frame_norm(_apply_matrix(proj[-s], branches[s])) / scale
+        for s in (+1, -1)
+    )
     if cfg.monitor_solution_norm:
         sigma = cfg.d / 2.0
-        diagnostics["solution_norm_plus"] = solution_norm(plus_tr, sigma, +1).value
-        diagnostics["solution_norm_minus"] = solution_norm(minus_tr, sigma, -1).value
+        for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
+            branch = Trajectory(lattice, g.d0, times, branches[s])
+            diagnostics[key] = solution_norm(branch, sigma, s).value
         diagnostics["ball_radius"] = cfg.epsilon
-    return PicardResult(
-        trajectory=Trajectory(lattice, g.d0, times, plus + minus),
-        plus=plus_tr,
-        minus=minus_tr,
-        diagnostics=diagnostics,
-    )
+    return PicardResult(Trajectory(lattice, g.d0, times, psi), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +300,7 @@ def evolve_dirac_rk4(
     space, with the linear half-wave flow applied exactly (interaction
     picture), so only the nonlinear part carries time-stepping error."""
     lattice = psi0.lattice
-    n_frames = int(round(horizon / dt)) + 1
+    n_frames = frame_count(dt, horizon)
     times = dt * np.arange(n_frames)
     proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
     bracket = lattice.bracket
@@ -439,6 +415,7 @@ def evolve_klein_gordon(
     midpoint kick by the source; second order in dt, exact (and exactly
     energy-preserving) when the source vanishes.
     """
+    n_frames = frame_count(dt, horizon)
     lattice = state.u.lattice
     omega = np.sqrt(lattice.xi_norm_sq + mass * mass)[..., None]
     omega_max = float(omega.max())
@@ -446,7 +423,6 @@ def evolve_klein_gordon(
         raise ValueError(
             f"time step {dt} too large for the fastest mode (dt*omega={dt * omega_max:.3f} > pi)"
         )
-    n_frames = int(round(horizon / dt)) + 1
     times = dt * np.arange(n_frames)
     u = state.u.coeffs.copy()
     v = state.v.coeffs.copy()

@@ -204,3 +204,5 @@ def test_usage_exit_on_bad_flag():
     assert main(["solve", "--lattice-radius", "0"]) == EXIT_USAGE
     assert main(["solve", "--epsilon", "-1"]) == EXIT_USAGE
     assert main(["compare-kg", "--nonlinearity", "/missing.json"]) == EXIT_USAGE
+    assert main(["compare-kg", "--mass", "2"]) == EXIT_USAGE
+    assert main(["verify", "--dims", "0"]) == EXIT_USAGE

@@ -3,6 +3,7 @@ import pytest
 
 from spintorus.clifford import build_gamma
 from spintorus.nonlinear import PowerSeriesNonlinearity, bundled_cubic
+from spintorus.norms import solution_norm
 from spintorus.solver import (
     PicardError,
     SolveConfig,
@@ -152,6 +153,7 @@ def test_free_solve_is_exact_split_flow(rng):
                       nonlinearity=None, monitor_solution_norm=False)
     res = picard_solve(cfg, psi0)
     assert res.diagnostics["iterations"] == 1
+    assert res.diagnostics["distances"] == [0.0]
     st = split(psi0, G1)
     err = 0.0
     for k, t in enumerate(res.trajectory.times):
@@ -216,6 +218,42 @@ def test_solution_norm_surrogate_reported():
     res = picard_solve(cfg, psi0)
     assert res.diagnostics["solution_norm_plus"] > 0.0
     assert res.diagnostics["solution_norm_minus"] > 0.0
+
+
+def test_branch_norms_are_norms_of_projected_trajectory():
+    F = bundled_cubic(2)
+    psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=11)
+    cfg = SolveConfig(d=1, radius=16, dt=0.05, horizon=0.5, epsilon=1e-3,
+                      nonlinearity=F)
+    res = picard_solve(cfg, psi0)
+    tr = res.trajectory
+    for sign, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
+        frames = np.stack([project_dirac(G1, tr.frame(k), sign).coeffs
+                           for k in range(tr.n_frames)])
+        branch = Trajectory(tr.lattice, tr.d0, tr.times, frames)
+        expect = solution_norm(branch, 0.5, sign).value
+        assert res.diagnostics[key] == pytest.approx(expect, rel=1e-10)
+
+
+def test_iteration_budget_exhausted():
+    psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=11)
+    cfg = SolveConfig(d=1, radius=16, dt=0.05, horizon=0.5, epsilon=1e-3,
+                      nonlinearity=bundled_cubic(2), max_iterations=1)
+    with pytest.raises(PicardError, match="iteration budget") as err:
+        picard_solve(cfg, psi0)
+    diag = err.value.diagnostics
+    assert diag["iterations"] == 1
+    assert diag["converged"] is False
+    assert len(diag["distances"]) == 1
+
+
+def test_routes_reject_fractional_step_count():
+    psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=12)
+    with pytest.raises(ValueError, match="integer number of steps"):
+        evolve_dirac_rk4(psi0, None, G1, 0.3, 1.0)
+    state = second_order_data(psi0, None, G1, 1.0)
+    with pytest.raises(ValueError, match="integer number of steps"):
+        evolve_klein_gordon(state, None, G1, 1.0, 0.3, 1.0)
 
 
 # ---------------------------------------------------------------------------
