@@ -52,6 +52,7 @@ from .solver import (
     evolve_klein_gordon,
     gaussian_data,
     half_wave,
+    kg_frequencies,
     picard_solve,
     second_order_data,
     sobolev_monitor,
@@ -93,6 +94,12 @@ class RunConfig:
     constant: float | None = None
     tail_ratio: float | None = None
     inject_fault: str | None = None  # test hook, e.g. "gamma-scale"
+
+    def __post_init__(self):
+        # structural mode fixes the radius at 1 and ignores this option
+        radius = self.lattice_radius
+        if radius is not None and radius < 1 and not self.structural:
+            raise ValueError(f"lattice_radius must be >= 1, got {radius}")
 
     def radius_for(self, d: int) -> int:
         if self.structural:
@@ -335,6 +342,8 @@ def _solve_setup(cfg: RunConfig, dt: float):
         max_iterations=cfg.max_iterations,
         nonlinearity=None if F.is_zero() else F,
     )
+    if scfg.n_frames < 3:  # the residual needs an interior frame
+        raise ValueError(f"horizon {cfg.horizon} must be at least two steps of {dt}")
     psi0 = gaussian_data(scfg.lattice(), g.d0, cfg.epsilon, s, seed=cfg.seed)
     return g, scfg, psi0
 
@@ -429,6 +438,7 @@ def cmd_compare_kg(cfg: RunConfig) -> int:
     try:
         run = _solve_setup(cfg, cfg.dt)
         run_half = _solve_setup(cfg, cfg.dt / 2.0) if cfg.refine else None
+        kg_frequencies(run[1].lattice(), cfg.mass, cfg.dt)  # step guard, before any solve
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,11 +46,20 @@ def save_field(f: SpinorField, path: str) -> None:
 
 
 def load_field(path: str) -> SpinorField:
+    """Read a .spf file; raises ValueError when the payload length does not
+    match the header or a coefficient is not finite."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         lattice = FrequencyLattice(int(header["d"]), int(header["radius"]))
         d0 = int(header["d0"])
-        raw = np.frombuffer(fh.read(), dtype="<c16")
+        payload = fh.read()
+    count = lattice.size * d0
+    if len(payload) != 16 * count:
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, the header "
+                         f"needs {16 * count} ({count} complex128 coefficients)")
+    raw = np.frombuffer(payload, dtype="<c16")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{path}: non-finite coefficient in the payload")
     return SpinorField(lattice, d0, raw.reshape(lattice.shape + (d0,)).copy())
 
 

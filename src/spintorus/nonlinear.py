@@ -151,12 +151,14 @@ BUNDLED = {"cubic": bundled_cubic, "geometric": bundled_geometric}
 
 
 def _power_table(values: np.ndarray, max_exponents) -> list:
-    """values[..., k] raised to 0..max_exponents[k], cached per component."""
+    """values[..., k] raised to 1..max_exponents[k], cached per component;
+    entry e of table k is the e-th power.  Entry 0 is None: callers skip
+    exponent 0, so no all-ones array is built."""
     tables = []
     for k, top in enumerate(max_exponents):
         col = values[..., k]
-        powers = [np.ones_like(col)]
-        for _ in range(top):
+        powers = [None, col]
+        for _ in range(top - 1):
             powers.append(powers[-1] * col)
         tables.append(powers)
     return tables
@@ -216,6 +218,11 @@ def jacobian(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     return out
 
 
+# Padded-grid bytes one chunk of evaluate_coefficients may hold: about an L2
+# cache.  At d=3, N=8 one cubic frame already exceeds it (2.3 MiB).
+CHUNK_BYTES = 4 * 2**20
+
+
 def padded_grid_size(lattice: FrequencyLattice, degree: int) -> int:
     """Alias-free grid for evaluating a degree-``degree`` monomial map: the
     product spectrum reaches degree*N per axis, so M > (degree+1)*N."""
@@ -231,12 +238,27 @@ def evaluate_coefficients(
     F is evaluated pointwise on a padded physical grid, transformed back and
     truncated.  The padding rule makes the truncated coefficients exact: no
     aliased copy of the degree-|p| product spectrum can reach the lattice.
+    The batch is worked through in chunks of frames whose padded grid holds
+    at most ``CHUNK_BYTES`` (at least one frame per chunk); a batch that fits
+    in one chunk is transformed in a single call.
     """
     if F.is_zero():
         return np.zeros_like(coeffs)
+    d, radius = lattice.d, lattice.radius
     grid = padded_grid_size(lattice, F.max_degree)
-    values = to_grid(coeffs, lattice.d, grid)
-    return from_grid(evaluate(F, values), lattice.d, lattice.radius)
+    box = coeffs.shape[-d - 1:]
+    n = math.prod(coeffs.shape[: -d - 1])
+    chunk = max(1, CHUNK_BYTES // (16 * grid**d * box[-1]))
+    if n <= chunk:
+        return from_grid(evaluate(F, to_grid(coeffs, d, grid)), d, radius)
+    # The padding is exact frame by frame, so only one chunk of frames needs
+    # to be on the padded grid at a time.
+    flat = coeffs.reshape((n,) + box)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for start in range(0, n, chunk):
+        part = to_grid(flat[start : start + chunk], d, grid)
+        out[start : start + chunk] = from_grid(evaluate(F, part), d, radius)
+    return out.reshape(coeffs.shape)
 
 
 def evaluate_on_field(F: PowerSeriesNonlinearity, f: SpinorField) -> SpinorField:

@@ -132,8 +132,9 @@ def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoid along axis 0 with uniform step; entry 0 is 0."""
     out = np.zeros_like(w)
     if w.shape[0] > 1:
-        increments = 0.5 * dt * (w[1:] + w[:-1])
-        np.cumsum(increments, axis=0, out=out[1:])
+        np.add(w[1:], w[:-1], out=out[1:])
+        out[1:] *= 0.5 * dt
+        np.cumsum(out[1:], axis=0, out=out[1:])
     return out
 
 
@@ -142,22 +143,28 @@ def _apply_matrix(mult, frames: np.ndarray) -> np.ndarray:
 
 
 def _phases(times: np.ndarray, lattice: FrequencyLattice) -> dict:
-    """e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape."""
+    """e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape; each
+    sign's table is the complex conjugate of the other's."""
     t = times.reshape((-1,) + (1,) * lattice.d)
     return {s: np.exp(-1j * s * t * lattice.bracket) for s in (+1, -1)}
 
 
-def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet, proj: dict,
-                         phase: dict, dt: float, total: np.ndarray) -> dict:
+def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
+                         proj_plus, phase: dict, dt: float,
+                         total: np.ndarray) -> dict:
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
-    ``total`` holds psi on the frames."""
-    fhat = evaluate_coefficients(F, total, proj[+1].lattice)
-    fhat = np.einsum("ab,k...b->k...a", g.beta, fhat)
+    ``total`` holds psi on the frames and ``proj_plus`` is Pi_+."""
+    fhat = np.einsum("ab,k...b->k...a", g.beta,
+                     evaluate_coefficients(F, total, proj_plus.lattice))
+    plus = _apply_matrix(proj_plus, fhat)
+    fhat -= plus  # Pi_- = 1 - Pi_+
     out = {}
-    for s in (+1, -1):
-        integrand = np.conj(phase[s])[..., None] * _apply_matrix(proj[s], fhat)
-        out[s] = 1j * phase[s][..., None] * _cumulative_trapezoid(integrand, dt)
+    for s, integrand in ((+1, plus), (-1, fhat)):
+        # conj(e^{-i s t <xi>}) = e^{+i s t <xi>}, the other sign's phase
+        integrand *= phase[-s][..., None]
+        out[s] = _cumulative_trapezoid(integrand, dt)
+        out[s] *= 1j * phase[s][..., None]
     return out
 
 
@@ -182,10 +189,10 @@ def duhamel_integral(
     if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not a frame time")
     lattice = plus_tr.lattice
-    proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
     total = plus_tr.frames[: k + 1] + minus_tr.frames[: k + 1]
-    corr = _duhamel_corrections(F, g, proj, _phases(times[: k + 1], lattice),
-                                plus_tr.dt, total)
+    corr = _duhamel_corrections(F, g, projector_multiplier(g, lattice, +1),
+                                _phases(times[: k + 1], lattice), plus_tr.dt,
+                                total)
     return (
         SpinorField(lattice, plus_tr.d0, corr[+1][-1]),
         SpinorField(lattice, plus_tr.d0, corr[-1][-1]),
@@ -238,7 +245,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     def duhamel_map(psi: np.ndarray) -> np.ndarray:
         if F is None or F.is_zero():
             return free
-        corr = _duhamel_corrections(F, g, proj, phase, cfg.dt, psi)
+        corr = _duhamel_corrections(F, g, proj[+1], phase, cfg.dt, psi)
         return free + corr[+1] + corr[-1]
 
     psi = free
@@ -401,6 +408,19 @@ def _second_order_rhs(
     return from_grid(out, lattice.d, lattice.radius)
 
 
+def kg_frequencies(lattice: FrequencyLattice, mass: float, dt: float) -> np.ndarray:
+    """omega = (|xi|^2 + m^2)^{1/2}, shape lattice.shape + (1,); raises
+    ValueError when dt is too large for the fastest mode (dt * omega > pi),
+    the step guard of ``evolve_klein_gordon``."""
+    omega = np.sqrt(lattice.xi_norm_sq + mass * mass)[..., None]
+    omega_max = float(omega.max())
+    if dt * omega_max > math.pi:
+        raise ValueError(
+            f"time step {dt} too large for the fastest mode (dt*omega={dt * omega_max:.3f} > pi)"
+        )
+    return omega
+
+
 def evolve_klein_gordon(
     state: SecondOrderState,
     F: PowerSeriesNonlinearity | None,
@@ -417,12 +437,7 @@ def evolve_klein_gordon(
     """
     n_frames = frame_count(dt, horizon)
     lattice = state.u.lattice
-    omega = np.sqrt(lattice.xi_norm_sq + mass * mass)[..., None]
-    omega_max = float(omega.max())
-    if dt * omega_max > math.pi:
-        raise ValueError(
-            f"time step {dt} too large for the fastest mode (dt*omega={dt * omega_max:.3f} > pi)"
-        )
+    omega = kg_frequencies(lattice, mass, dt)
     times = dt * np.arange(n_frames)
     u = state.u.coeffs.copy()
     v = state.v.coeffs.copy()

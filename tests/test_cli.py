@@ -206,3 +206,9 @@ def test_usage_exit_on_bad_flag():
     assert main(["compare-kg", "--nonlinearity", "/missing.json"]) == EXIT_USAGE
     assert main(["compare-kg", "--mass", "2"]) == EXIT_USAGE
     assert main(["verify", "--dims", "0"]) == EXIT_USAGE
+    assert main(["compare-kg", "--dt", "0.5"]) == EXIT_USAGE
+    assert main(["verify", "--lattice-radius", "-1"]) == EXIT_USAGE
+    assert main(["verify", "--lattice-radius", "0"]) == EXIT_USAGE
+    assert main(["solve", "--horizon", "1e-9"]) == EXIT_USAGE
+    assert main(["solve", "--horizon", "0.00390625"]) == EXIT_USAGE
+    assert main(["audit", "--lattice-radius", "0"]) == EXIT_USAGE

@@ -46,6 +46,26 @@ def test_field_binary_roundtrip(tmp_path, rng):
     assert np.array_equal(raw, f.coeffs.reshape(-1))
 
 
+def test_load_field_rejects_wrong_payload_length(tmp_path, rng):
+    f = random_field(FrequencyLattice(2, 3), 2, rng)
+    path = tmp_path / "field.spf"
+    save_field(f, str(path))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    path.write_bytes(blob[:-16])  # one coefficient short
+    with pytest.raises(ValueError, match="payload"):
+        load_field(str(path))
+
+
+def test_load_field_rejects_non_finite_coefficients(tmp_path, rng):
+    f = random_field(FrequencyLattice(2, 3), 2, rng)
+    f.coeffs[1, 2, 0] = complex(np.nan, 0.0)
+    path = tmp_path / "field.spf"
+    save_field(f, str(path))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_field(str(path))
+
+
 def test_trajectory_roundtrip(tmp_path, rng):
     lat = FrequencyLattice(1, 5)
     frames = rng.standard_normal((4,) + lat.shape + (2,)) * (1 + 0j)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from spintorus.nonlinear import (
     difference_split_maximum,
     direct_quantity,
     evaluate,
+    evaluate_coefficients,
     evaluate_on_field,
     growth_audit,
     growth_threshold,
@@ -150,6 +152,58 @@ def test_field_padding_guard(rng):
 
     lat = FrequencyLattice(1, 8)
     assert padded_grid_size(lat, 3) >= 4 * 8 + 1
+
+
+def _random_batch(rng, batch, lat, d0):
+    shape = tuple(batch) + lat.shape + (d0,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _per_frame(F, coeffs, lat):
+    out = np.empty_like(coeffs)
+    for idx in np.ndindex(coeffs.shape[: -lat.d - 1]):
+        out[idx] = evaluate_coefficients(F, coeffs[idx], lat)
+    return out
+
+
+@pytest.mark.parametrize("batch", [(33,), (2, 5)])
+def test_chunked_batch_matches_per_frame_d3(rng, batch):
+    # one d=3, N=8 cubic frame fills a whole chunk, so every frame is a chunk
+    lat = FrequencyLattice(3, 8)
+    F = bundled_cubic(4)
+    coeffs = _random_batch(rng, batch, lat, 4)
+    out = evaluate_coefficients(F, coeffs, lat)
+    ref = _per_frame(F, coeffs, lat)
+    assert out.shape == coeffs.shape
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_multi_frame_chunks_with_ragged_tail(rng, monkeypatch):
+    # a budget of three padded frames splits the ten frames 3 + 3 + 3 + 1
+    import spintorus.nonlinear as nl
+
+    lat = FrequencyLattice(2, 4)
+    F = _random_series(rng, max_degree=3)
+    grid = nl.padded_grid_size(lat, F.max_degree)
+    monkeypatch.setattr(nl, "CHUNK_BYTES", 3 * 16 * grid**2 * 2)
+    coeffs = _random_batch(rng, (2, 5), lat, 2)
+    out = evaluate_coefficients(F, coeffs, lat)
+    ref = _per_frame(F, coeffs, lat)
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_chunked_evaluation_memory_is_bounded(rng):
+    # the whole 33-frame batch on the padded grid would be ~50x the input
+    lat = FrequencyLattice(3, 8)
+    F = bundled_cubic(4)
+    coeffs = _random_batch(rng, (33,), lat, 4)
+    tracemalloc.start()
+    try:
+        evaluate_coefficients(F, coeffs, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * coeffs.nbytes
 
 
 # ---------------------------------------------------------------------------
