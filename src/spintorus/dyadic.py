@@ -152,7 +152,12 @@ def modulation_block(
 
 def modulation_scale_range(tr: Trajectory, sign: int) -> tuple[int, int]:
     """Scale range covering every nonzero modulation value on the grid."""
-    w = modulation_distance(tr, sign)
+    return covering_scale_range(modulation_distance(tr, sign))
+
+
+def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
+    """Scales j whose annuli 2^j <= |s| <= 2^{j+2} cover every positive
+    value of ``w``; (0, 0) when there is none."""
     pos = w[w > 0]
     if pos.size == 0:
         return 0, 0

@@ -383,6 +383,9 @@ class GrowthAuditReport:
 
 def growth_threshold(constant: float, d: int) -> float:
     """C^{-d/2-1/4} 2^{-d/2} / 3 for the measured derivative constant C."""
+    if not (math.isfinite(constant) and constant > 0):
+        raise ValueError(f"derivative constant must be positive and finite, "
+                         f"got {constant}")
     return constant ** (-d / 2.0 - 0.25) * 2.0 ** (-d / 2.0) / 3.0
 
 

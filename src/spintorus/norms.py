@@ -20,13 +20,14 @@ from .clifford import GammaSet
 from .dyadic import (
     CapCover,
     CubeCover,
+    annulus_profile,
     build_cap_cover,
     build_cube_cover,
     cap_symbols,
+    covering_scale_range,
     cube_symbol,
     lowpass_profile,
     modulation_distance,
-    modulation_scale_range,
     radial_scale_range,
     radial_symbol,
     window_length,
@@ -187,10 +188,10 @@ def sector_norm(
 ) -> float:
     """Sum over caps and cubes of the mixed norms of the localised pieces.
 
-    This is the anisotropic building block of the solution-space norms: the
-    field is first restricted to an angular cap of scale l, then to a
-    frequency cube of half-side 2^{k_cube}, and the L^p_t L^q_x norms of all
-    pieces are added up.
+    The anisotropic cap x cube norm: the field is first restricted to an
+    angular cap of scale l, then to a frequency cube of half-side 2^{k_cube},
+    and the L^p_t L^q_x norms of all pieces are added up.  The block norms
+    do not use it (see block_norm).
     """
     lat = tr.lattice
     if lat.d > 3:
@@ -224,128 +225,102 @@ def sector_norm(
 # modulation norms
 
 
+def _spinor_density(frames: np.ndarray) -> np.ndarray:
+    """|frames|^2 summed over spinor components, shape (M, lattice size)."""
+    sq = np.abs(frames)
+    sq *= sq
+    return sq.sum(axis=-1).reshape(frames.shape[0], -1)
+
+
+def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
+    """Lattice densities of the modulation pieces, one row per scale.
+
+    Row i - jmin is t_win sum_tau annulus(2^{-i} |tau +- <xi>|)^2 |tr~|^2
+    (tr~ the windowed DFT over the frames, divided by M; summed over spinor
+    components), so ||Q_i B tr||^2_{L^2_t L^2_x} is the row dotted with b^2
+    for every diagonal multiplier B of symbol b: one time DFT serves all.
+    """
+    if tr.n_frames < 2:
+        raise ValueError("modulation norms need at least 2 frames")
+    m = tr.n_frames
+    spec = _spinor_density(np.fft.fft(tr.frames, axis=0))
+    spec *= window_length(tr) / m**2
+    dist = modulation_distance(tr, sign).reshape(m, -1)
+    jmin, jmax = covering_scale_range(dist)
+    rows = [
+        np.sum(annulus_profile(np.ldexp(dist, -i)) ** 2 * spec, axis=0)
+        for i in range(jmin, jmax + 1)
+    ]
+    return jmin, np.array(rows)
+
+
 def modulation_norm(
     tr: Trajectory,
     sign: int,
     weight: float = 0.5,
     p: float = np.inf,
-    taper: bool = False,
 ) -> float:
     """l^p over scales j of 2^{weight*j} ||Q_j tr||_{L^2_t L^2_x}.
 
     Scales are restricted to those representable on the discrete (tau, xi)
     grid of the trajectory window.
     """
-    if tr.n_frames < 2:
-        raise ValueError("modulation norms need at least 2 frames")
-    frames = tr.frames
-    if taper:
-        from .dyadic import hann_window
-
-        w = hann_window(tr.n_frames).reshape((-1,) + (1,) * (frames.ndim - 1))
-        frames = frames * w
-    spec = np.fft.fft(frames, axis=0) / tr.n_frames
-    t_win = window_length(tr)
-    jmin, jmax = modulation_scale_range(tr, sign)
-    dist = modulation_distance(tr, sign)
-    pieces = []
-    for j in range(jmin, jmax + 1):
-        sym = _annulus_of(dist, j)
-        val = math.sqrt(t_win) * float(
-            np.linalg.norm((spec * sym[..., None]).ravel())
-        )
-        pieces.append(2.0 ** (weight * j) * val)
-    arr = np.array(pieces)
+    jmin, rows = _modulation_densities(tr, sign)
+    scales = jmin + np.arange(len(rows))
+    pieces = 2.0 ** (weight * scales) * np.sqrt(rows.sum(axis=1))
     if p == np.inf:
-        return float(arr.max()) if arr.size else 0.0
-    return float(np.sum(arr**p) ** (1.0 / p))
-
-
-def _annulus_of(dist: np.ndarray, j: int) -> np.ndarray:
-    from .dyadic import annulus_profile
-
-    return annulus_profile(np.ldexp(dist, -j))
+        return float(pieces.max())
+    return float(np.sum(pieces**p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
 # solution-space norms
 
 
-def sector_scale_bounds(d: int, j: int) -> tuple[int, int]:
-    """Angular-scale window for the scale-j block; may be empty (sup = 0)."""
-    if d < 2:
-        return 1, 0
-    lo = math.ceil((d + 2) * j / (2 * d - 2))
-    return lo, j
+def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
+    """Scale-j solution block norm: energy + modulation.
 
-
-def block_norm(
-    tr: Trajectory,
-    j: int,
-    sign: int,
-    a: float = 4.0,
-    b: float = 4.0,
-    taper: bool = False,
-) -> NormReport:
-    """Scale-j solution block norm: energy + modulation + weighted sectors.
-
-    Blocks: sup-in-time L^2, the critical modulation seminorm (weight 1/2,
-    sup over scales), and the sup over cube scales k' <= j and admissible
-    angular scales of the weighted sector norms with exponents (a, b).
-    The angular window is empty for d = 1 (and for d > 3, where cap covers
-    are not constructed); an empty sup contributes 0.
+    The blocks are the sup-in-time L^2 norm and the critical modulation
+    seminorm (weight 1/2, sup over scales).  There is no cap x cube sector
+    term: its angular window ceil((d+2)j/(2d-2)) <= l <= j is empty at every
+    j >= 1 for d <= 3, caps are not built for d > 3, and the solution norm
+    only uses blocks at j >= 1, so the term would be 0 in every norm.
     """
     energy = mixed_norm(tr, np.inf, 2)
-    modu = modulation_norm(tr, sign, 0.5, np.inf, taper=taper)
-    sector_sup = 0.0
-    sector_detail = {}
-    d = tr.lattice.d
-    if 2 <= d <= 3 and j >= 0:
-        lo, hi = sector_scale_bounds(d, j)
-        for l in range(lo, hi + 1):
-            cover = build_cap_cover(d, l)
-            for kp in range(0, j + 1):
-                term = 2.0 ** (-(kp + j) / a) * sector_norm(tr, l, kp, a, b, cover)
-                if a != b:
-                    term += 2.0 ** (-(kp + j) / b) * sector_norm(
-                        tr, l, kp, b, a, cover
-                    )
-                else:
-                    term *= 2.0
-                sector_detail[(l, kp)] = term
-                sector_sup = max(sector_sup, term)
-    value = energy + modu + sector_sup
+    modu = modulation_norm(tr, sign, 0.5, np.inf)
     return NormReport(
-        value=value,
-        breakdown={"energy": energy, "modulation": modu, "sector": sector_sup,
-                   **{f"sector[l={l},k'={kp}]": v for (l, kp), v in sector_detail.items()}},
-        metadata={"kind": "block", "j": j, "sign": sign, "a": a, "b": b},
+        value=energy + modu,
+        breakdown={"energy": energy, "modulation": modu},
+        metadata={"kind": "block", "j": j, "sign": sign},
     )
 
 
-def solution_norm(
-    tr: Trajectory,
-    sigma: float,
-    sign: int,
-    a: float = 4.0,
-    b: float = 4.0,
-    taper: bool = False,
-) -> NormReport:
-    """sum_{j>=0} 2^{sigma j} of the (j+1)-block norm of the annulus pieces."""
-    _, jmax = radial_scale_range(tr.lattice)
-    total = 0.0
+def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:
+    """sum_{j>=0} 2^{sigma j} of the (j+1)-block norm of the annulus pieces
+    P_j tr; scales whose piece is exactly zero are skipped.
+
+    P_j and the modulation cutoffs are diagonal, so every block is a lattice
+    sum of the trajectory's two densities weighted by radial_symbol(j)^2.
+    """
+    lat = tr.lattice
+    _, jmax = radial_scale_range(lat)
+    amp = np.abs(tr.frames).max(axis=(0, -1))
+    symbols = {j: radial_symbol(lat, j) for j in range(0, jmax + 1)}
+    scales = [j for j, sym in symbols.items() if np.any(amp * sym > 0.0)]
     breakdown = {}
-    for j in range(0, jmax + 1):
-        piece = tr.map_symbol(radial_symbol(tr.lattice, j))
-        if not np.any(np.abs(piece.frames) > 0.0):
-            continue
-        contrib = 2.0 ** (sigma * j) * block_norm(piece, j + 1, sign, a, b, taper).value
-        breakdown[j] = contrib
-        total += contrib
+    if scales:
+        weights = np.array([symbols[j].ravel() ** 2 for j in scales]).T
+        # sup_t ||P_j tr||_{L^2} and sup_i 2^{i/2} ||Q_i P_j tr||_{L^2_t L^2_x}
+        energy = np.sqrt((_spinor_density(tr.frames) @ weights).max(axis=0))
+        jmin, rows = _modulation_densities(tr, sign)
+        gain = 2.0 ** (0.5 * (jmin + np.arange(len(rows))))
+        modu = (gain[:, None] * np.sqrt(rows @ weights)).max(axis=0)
+        for j, e, q in zip(scales, energy, modu):
+            breakdown[j] = 2.0 ** (sigma * j) * float(e + q)
     return NormReport(
-        value=total,
+        value=sum(breakdown.values(), 0.0),
         breakdown=breakdown,
-        metadata={"kind": "solution", "sigma": sigma, "sign": sign, "a": a, "b": b},
+        metadata={"kind": "solution", "sigma": sigma, "sign": sign},
     )
 
 

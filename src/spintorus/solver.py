@@ -93,8 +93,12 @@ class SolveConfig:
     monitor_solution_norm: bool = True
 
     def __post_init__(self):
-        if min(self.dt, self.horizon, self.epsilon, self.picard_tol) <= 0:
-            raise ValueError("dt, horizon, epsilon and picard_tol must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.dt, self.horizon, self.epsilon, self.picard_tol)):
+            raise ValueError("dt, horizon, epsilon and picard_tol must be positive "
+                             "and finite")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.s is None:
             self.s = self.d / 2.0
         self.n_frames  # noqa: B018  (raises unless horizon / dt is a whole number)

@@ -212,3 +212,8 @@ def test_usage_exit_on_bad_flag():
     assert main(["solve", "--horizon", "1e-9"]) == EXIT_USAGE
     assert main(["solve", "--horizon", "0.00390625"]) == EXIT_USAGE
     assert main(["audit", "--lattice-radius", "0"]) == EXIT_USAGE
+    assert main(["solve", "--max-iterations", "0"]) == EXIT_USAGE
+    assert main(["solve", "--epsilon", "nan"]) == EXIT_USAGE
+    assert main(["audit", "--constant", "-1"]) == EXIT_USAGE
+    assert main(["audit", "--constant", "0"]) == EXIT_USAGE
+    assert main(["audit", "--lattice-radius", "1"]) == EXIT_USAGE  # no annulus to measure

@@ -372,6 +372,12 @@ def test_threshold_formula():
     )
 
 
+def test_threshold_rejects_bad_constant():
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            growth_threshold(bad, 1)
+
+
 def test_verdict_monotone_under_scaling(rng):
     g = build_gamma(1)
     for F in (

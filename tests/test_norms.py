@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from spintorus.clifford import build_gamma
-from spintorus.dyadic import build_cap_cover, build_cube_cover, cap_symbols, cube_symbol
+from spintorus.dyadic import (
+    build_cap_cover,
+    build_cube_cover,
+    cap_symbols,
+    cube_symbol,
+    radial_scale_range,
+    radial_symbol,
+)
 from spintorus.norms import (
     annulus_energy_fraction,
     bernstein_ratio,
@@ -352,11 +359,60 @@ def test_solution_norm_monotone_in_sigma(rng):
     assert v1 >= v0
 
 
-def test_sector_window_empty_for_d1(rng):
-    lat = FrequencyLattice(1, 6)
-    tr = standard_probe_set(lat, 2, 1, 6, 0.2, seed=6)[0]
-    rep = block_norm(tr, 2, +1)
-    assert rep.breakdown["sector"] == 0.0
+def _per_piece_solution_norm(tr, sigma, sign):
+    # the definition: block norm of each nonzero annulus piece P_j tr
+    _, jmax = radial_scale_range(tr.lattice)
+    breakdown = {}
+    for j in range(0, jmax + 1):
+        piece = tr.map_symbol(radial_symbol(tr.lattice, j))
+        if not np.any(np.abs(piece.frames) > 0.0):
+            continue
+        block = mixed_norm(piece, np.inf, 2) + modulation_norm(piece, sign, 0.5, np.inf)
+        breakdown[j] = 2.0 ** (sigma * j) * block
+    return breakdown
+
+
+@pytest.mark.parametrize("d, radius, m", [(1, 8, 12), (2, 5, 9), (3, 3, 7)])
+def test_solution_norm_matches_per_piece_definition(d, radius, m):
+    lat = FrequencyLattice(d, radius)
+    tr = standard_probe_set(lat, 2, 1, m, 0.17, seed=20 + d)[0]
+    for sign in (+1, -1):
+        block = block_norm(tr, 1, sign)
+        expect = mixed_norm(tr, np.inf, 2) + modulation_norm(tr, sign, 0.5, np.inf)
+        assert block.value == pytest.approx(expect, rel=1e-12)
+        rep = solution_norm(tr, d / 2.0, sign)
+        expect = _per_piece_solution_norm(tr, d / 2.0, sign)
+        assert list(rep.breakdown) == list(expect)
+        for j, v in expect.items():
+            assert rep.breakdown[j] == pytest.approx(v, rel=1e-12)
+        assert rep.value == pytest.approx(sum(expect.values()), rel=1e-12)
+
+
+def test_solution_norm_skips_only_zero_pieces():
+    # one mode at |xi| = 6 leaves all but two annuli empty; amplitudes whose
+    # squares underflow still count as nonzero pieces
+    lat = FrequencyLattice(2, 6)
+    tr = _free_wave_trajectory(lat, [6, 0], sign=+1, m=8)
+    keys = list(_per_piece_solution_norm(tr, 1.0, +1))
+    assert keys == [1, 2]
+    assert list(solution_norm(tr, 1.0, +1).breakdown) == keys
+    assert list(solution_norm(1e-170 * tr, 1.0, +1).breakdown) == keys
+
+
+def test_solution_norm_runs_one_time_fft(monkeypatch):
+    lat = FrequencyLattice(2, 6)
+    tr = standard_probe_set(lat, 2, 1, 8, 0.13, seed=4)[0]
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    rep = solution_norm(tr, 1.0, +1)
+    assert len(rep.breakdown) > 1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

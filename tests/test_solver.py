@@ -202,6 +202,16 @@ def test_large_data_aborts_with_diagnostics():
     assert "distances" in err.value.diagnostics
 
 
+def test_solve_config_rejects_bad_numbers():
+    good = dict(d=1, radius=4, dt=0.1, horizon=0.5, epsilon=1e-3)
+    for key in ("dt", "horizon", "epsilon", "picard_tol"):
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolveConfig(**{**good, key: bad})
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolveConfig(**good, max_iterations=0)
+
+
 def test_data_size_precondition():
     psi0 = gaussian_data(LAT16, 2, 2e-3, 0.5, seed=10)
     cfg = SolveConfig(d=1, radius=16, dt=0.1, horizon=0.5, epsilon=1e-3,
