@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -100,6 +101,10 @@ class RunConfig:
         radius = self.lattice_radius
         if radius is not None and radius < 1 and not self.structural:
             raise ValueError(f"lattice_radius must be >= 1, got {radius}")
+        for name in ("defect_budget", "distance_budget"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def radius_for(self, d: int) -> int:
         if self.structural:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FrequencyLattice, SpinorField, Trajectory
+from .spectral import FrequencyLattice, Trajectory
 
 # ---------------------------------------------------------------------------
 # smooth cutoff profiles
@@ -76,18 +76,6 @@ def wide_radial_symbol(lattice: FrequencyLattice, j: int) -> np.ndarray:
     return wide_annulus_profile(r, j)
 
 
-def radial_block(f: SpinorField, j: int) -> SpinorField:
-    """Restrict to the dyadic annulus 2^j <= |xi| <= 2^{j+2} (smoothly)."""
-    return SpinorField(f.lattice, f.d0, f.coeffs * radial_symbol(f.lattice, j)[..., None])
-
-
-def wide_radial_block(f: SpinorField, j: int) -> SpinorField:
-    """Widened annulus restriction; acts as the identity on scale-(j-1) blocks."""
-    return SpinorField(
-        f.lattice, f.d0, f.coeffs * wide_radial_symbol(f.lattice, j)[..., None]
-    )
-
-
 def radial_scale_range(lattice: FrequencyLattice) -> tuple[int, int]:
     """Scales j whose annulus intersects the nonzero lattice."""
     rmax = float(np.sqrt(lattice.d) * lattice.radius)
@@ -125,34 +113,17 @@ def modulation_symbol(tr: Trajectory, j: int, sign: int) -> np.ndarray:
     return annulus_profile(np.ldexp(modulation_distance(tr, sign), -j))
 
 
-def hann_window(m: int) -> np.ndarray:
-    k = np.arange(m)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / m)
-
-
-def modulation_block(
-    tr: Trajectory, j: int, sign: int, taper: bool = False
-) -> Trajectory:
+def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
     """Restrict a trajectory to modulations 2^j <= |tau +- <xi>| <= 2^{j+2}.
 
-    The finite window is treated as periodic; an optional Hann taper trades
-    the partition property for reduced spectral leakage.
+    The finite window is treated as periodic.
     """
     if tr.n_frames < 2:
         raise ValueError("modulation cutoff needs at least 2 frames")
-    frames = tr.frames
-    if taper:
-        w = hann_window(tr.n_frames).reshape((-1,) + (1,) * (frames.ndim - 1))
-        frames = frames * w
-    spec = np.fft.fft(frames, axis=0)
+    spec = np.fft.fft(tr.frames, axis=0)
     spec *= modulation_symbol(tr, j, sign)[..., None]
     out = np.fft.ifft(spec, axis=0)
     return Trajectory(tr.lattice, tr.d0, tr.times, out)
-
-
-def modulation_scale_range(tr: Trajectory, sign: int) -> tuple[int, int]:
-    """Scale range covering every nonzero modulation value on the grid."""
-    return covering_scale_range(modulation_distance(tr, sign))
 
 
 def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
@@ -168,6 +139,10 @@ def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # angular cap covers
+
+# Most caps of one cover whose supports may share a direction; every cover
+# that build_cap_cover returns is checked against it.
+CAP_OVERLAP_BOUND = 4
 
 
 def _icosahedron() -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -217,7 +192,8 @@ def _subdivide(verts: np.ndarray, faces: list[tuple[int, int, int]]):
 
 @dataclass
 class CapCover:
-    """Finitely overlapping symmetric cover of the unit sphere by caps.
+    """Symmetric cover of the unit sphere by caps, at most
+    ``CAP_OVERLAP_BOUND`` of them over any direction.
 
     ``centers`` is antipodally closed; ``width`` is the geodesic support
     half-width of the smooth weights, which are normalised to a partition of
@@ -228,7 +204,6 @@ class CapCover:
     scale: int
     centers: np.ndarray  # (K, d) unit vectors
     width: float
-    overlap_bound: int = 4
     _symbol_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -265,7 +240,7 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
-def build_cap_cover(d: int, scale: int, overlap_bound: int = 4) -> CapCover:
+def build_cap_cover(d: int, scale: int) -> CapCover:
     """Construct the scale-l cap cover (caps of angular size ~ 2^{-l}).
 
     d = 1 degenerates to the two half-line indicators; d = 2 uses evenly
@@ -278,7 +253,7 @@ def build_cap_cover(d: int, scale: int, overlap_bound: int = 4) -> CapCover:
         raise ValueError("cap covers are only constructed for d <= 3")
     if d == 1:
         centers = np.array([[1.0], [-1.0]])
-        return CapCover(d, scale, centers, width=1.0, overlap_bound=overlap_bound)
+        return CapCover(d, scale, centers, width=1.0)
     delta = 2.0 ** (-scale)
     if d == 2:
         k = int(np.ceil(2.0 * np.pi / delta))
@@ -288,7 +263,7 @@ def build_cap_cover(d: int, scale: int, overlap_bound: int = 4) -> CapCover:
         th = 2.0 * np.pi * np.arange(k) / k
         centers = np.stack([np.cos(th), np.sin(th)], axis=1)
         width = 0.75 * (2.0 * np.pi / k)
-        cover = CapCover(d, scale, centers, width, overlap_bound)
+        cover = CapCover(d, scale, centers, width)
         _validate_cover(cover, _circle_directions(4096))
         return cover
     # d == 3: subdivided icosahedron, spacing as close to delta as possible
@@ -305,7 +280,7 @@ def build_cap_cover(d: int, scale: int, overlap_bound: int = 4) -> CapCover:
             )
     e_min, e_max = float(np.min(edge_arcs)), float(np.max(edge_arcs))
     width = max(0.604 * e_max, min(0.75 * delta, 0.85 * e_min))
-    cover = CapCover(d, scale, verts, width, overlap_bound)
+    cover = CapCover(d, scale, verts, width)
     _validate_cover(cover, _fibonacci_directions(8192))
     return cover
 
@@ -323,9 +298,9 @@ def _validate_cover(cover: CapCover, sample: np.ndarray) -> None:
             f"cap cover (d={cover.d}, scale={cover.scale}) leaves coverage holes"
         )
     overlap = int((raw > 0.0).sum(axis=1).max())
-    if overlap > cover.overlap_bound:
+    if overlap > CAP_OVERLAP_BOUND:
         raise ValueError(
-            f"cap cover overlap {overlap} exceeds the bound {cover.overlap_bound}"
+            f"cap cover overlap {overlap} exceeds the bound {CAP_OVERLAP_BOUND}"
         )
 
 
@@ -350,14 +325,6 @@ def cap_symbols(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
     table = np.moveaxis(table.reshape(lattice.shape + (cover.n_caps,)), -1, 0)
     cover._symbol_cache[key] = table
     return table
-
-
-def cap_piece(f: SpinorField, cover: CapCover, cap_id: int) -> SpinorField:
-    """Multiply by the cap weight eta_kappa; the pieces sum back to f - u^(0)."""
-    if cap_id < 0 or cap_id >= cover.n_caps:
-        raise ValueError(f"cap id {cap_id} out of range 0..{cover.n_caps - 1}")
-    sym = cap_symbols(cover, f.lattice)[cap_id]
-    return SpinorField(f.lattice, f.d0, f.coeffs * sym[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +385,3 @@ def cube_symbol(cover: CubeCover, center) -> np.ndarray:
     for j in range(lattice.d):
         sym = sym * normalized_bump_1d((lattice.xi[..., j] - center[j]) / scale)
     return sym
-
-
-def cube_piece(f: SpinorField, cover: CubeCover, center) -> SpinorField:
-    """Cube-localised piece of a field; the pieces over all centers sum to f
-    away from the lattice boundary margin."""
-    center = np.asarray(center)
-    match = np.all(cover.centers == center[None, :], axis=1)
-    if not np.any(match):
-        raise ValueError(f"{center} is not a center of the scale-{cover.k} cube cover")
-    sym = cube_symbol(cover, center)
-    return SpinorField(f.lattice, f.d0, f.coeffs * sym[..., None])

@@ -1,4 +1,4 @@
-"""Serialization of fields, trajectories, symbol tables and reports.
+"""Binary serialization of spinor fields and trajectories.
 
 Binary field format (.spf): one JSON header line terminated by a newline,
 followed by the raw little-endian complex128 coefficients in the lattice's
@@ -7,30 +7,12 @@ lexicographic enumeration order (C order of the coefficient array).
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
 import numpy as np
 
 from .spectral import FrequencyLattice, SpinorField, Trajectory
-
-
-def field_to_json_dict(f: SpinorField) -> dict:
-    flat = f.coeffs.reshape(-1)
-    return {
-        "d": f.lattice.d,
-        "radius": f.lattice.radius,
-        "d0": f.d0,
-        "coeffs": [[z.real, z.imag] for z in flat],
-    }
-
-
-def field_from_json_dict(obj: dict) -> SpinorField:
-    lattice = FrequencyLattice(int(obj["d"]), int(obj["radius"]))
-    d0 = int(obj["d0"])
-    flat = np.array([complex(re, im) for re, im in obj["coeffs"]])
-    return SpinorField(lattice, d0, flat.reshape(lattice.shape + (d0,)))
 
 
 def save_field(f: SpinorField, path: str) -> None:
@@ -92,31 +74,3 @@ def load_trajectory(directory: str) -> Trajectory:
     ]
     frames = np.stack([f.coeffs for f in fields])
     return Trajectory(fields[0].lattice, fields[0].d0, times, frames)
-
-
-def dump_symbol_table(lattice: FrequencyLattice, symbols: dict, path: str) -> None:
-    """CSV of per-lattice-point symbol values, one column per named symbol."""
-    names = sorted(symbols)
-    xi = lattice.xi.reshape(-1, lattice.d)
-    cols = [symbols[n].reshape(-1) for n in names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"xi_{j + 1}" for j in range(lattice.d)] + names)
-        for i in range(xi.shape[0]):
-            writer.writerow(
-                [int(x) for x in xi[i]] + [repr(float(c[i])) for c in cols]
-            )
-
-
-def save_norm_report(report, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-
-
-def dump_breakdown_csv(report, path: str) -> None:
-    """Per-scale contributions of a NormReport as two CSV columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scale", "contribution"])
-        for k in sorted(report.breakdown, key=str):
-            writer.writerow([k, repr(float(report.breakdown[k]))])

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import GammaSet
-from .spectral import FrequencyLattice, SpinorField, from_grid, to_grid
+from .spectral import FrequencyLattice, from_grid, to_grid
 
 
 @dataclass
@@ -61,19 +61,12 @@ class PowerSeriesNonlinearity:
             self.tail_ratio,
         )
 
-    def to_json_obj(self):
-        terms = [
-            {"p": list(p), "c": [[z.real, z.imag] for z in c]}
-            for p, c in sorted(self.terms.items())
-        ]
-        if self.tail_ratio is None:
-            return terms
-        return {"terms": terms, "tail_ratio": self.tail_ratio}
 
 
 def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
     """Parse the JSON form: either a plain list of {p, c} records or an
-    object {"terms": [...], "tail_ratio": r} for declared-tail families."""
+    object {"terms": [...], "tail_ratio": r} for declared-tail families.
+    Raises ValueError on a coefficient or tail ratio that is not finite."""
     tail = None
     if isinstance(obj, dict):
         tail = obj.get("tail_ratio")
@@ -82,11 +75,15 @@ def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
         records = obj
     if not isinstance(records, list) or not records:
         raise ValueError("nonlinearity file must contain a nonempty term list")
+    if tail is not None and not math.isfinite(tail):
+        raise ValueError(f"tail_ratio must be finite, got {tail}")
     d0 = len(records[0]["p"])
     terms = {}
     for rec in records:
         p = tuple(int(x) for x in rec["p"])
         c = np.array([complex(re, im) for re, im in rec["c"]])
+        if not np.isfinite(c).all():
+            raise ValueError(f"non-finite coefficient for the multi-index {p}")
         terms[p] = terms.get(p, np.zeros(d0, dtype=np.complex128)) + c
     return PowerSeriesNonlinearity(d0, terms, tail_ratio=tail)
 
@@ -94,11 +91,6 @@ def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
 def load_nonlinearity_file(path: str) -> PowerSeriesNonlinearity:
     with open(path) as fh:
         return load_nonlinearity(json.load(fh))
-
-
-def save_nonlinearity_file(F: PowerSeriesNonlinearity, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(F.to_json_obj(), fh, indent=2, sort_keys=True)
 
 
 # bundled families used by the command-line scenarios and the audit tests
@@ -259,13 +251,6 @@ def evaluate_coefficients(
         part = to_grid(flat[start : start + chunk], d, grid)
         out[start : start + chunk] = from_grid(evaluate(F, part), d, radius)
     return out.reshape(coeffs.shape)
-
-
-def evaluate_on_field(F: PowerSeriesNonlinearity, f: SpinorField) -> SpinorField:
-    """``evaluate_coefficients`` on one field."""
-    if F.d0 != f.d0:
-        raise ValueError("nonlinearity and field spinor dimensions differ")
-    return SpinorField(f.lattice, f.d0, evaluate_coefficients(F, f.coeffs, f.lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +472,3 @@ def growth_audit(
     report.proxy = max(report.roots.values(), default=0.0) if tail is not None else 0.0
     report.passed = report.proxy < report.threshold
     return report
-
-
-def modulation_weight_sum(p_norm: int, constant: float, half_range: int) -> float:
-    """Partial sums of the modulation-index weight series
-    sum_i C^{-2^{-|i|} |p|/(|p|+1)} over |i| <= half_range.
-
-    Diagnostic only: the terms tend to 1 as |i| grows, so the partial sums
-    grow linearly in the range and the full series has no finite limit.
-    """
-    x = p_norm / (p_norm + 1.0)
-    idx = np.arange(-half_range, half_range + 1)
-    return float(np.sum(constant ** (-np.exp2(-np.abs(idx)) * x)))

@@ -1,4 +1,7 @@
-"""Function-space norms for trajectories of spinor fields.
+"""Function-space norms of spinor fields and trajectories: Sobolev and Besov
+norms of one field, mixed L^p_t L^q_x norms, modulation norms, the block and
+solution-space norms, the measured derivative-vs-scale constant and the
+projector boundedness probe.
 
 Spatial L^q norms use the normalised measure dx/(2pi)^d; time norms are
 trapezoid quadrature on the frame grid (max for p = infinity).  The
@@ -18,14 +21,8 @@ import numpy as np
 
 from .clifford import GammaSet
 from .dyadic import (
-    CapCover,
-    CubeCover,
     annulus_profile,
-    build_cap_cover,
-    build_cube_cover,
-    cap_symbols,
     covering_scale_range,
-    cube_symbol,
     lowpass_profile,
     modulation_distance,
     radial_scale_range,
@@ -38,7 +35,6 @@ from .spectral import (
     Trajectory,
     derivative_monomial,
     grid_lq_norms,
-    lq_norm,
     project_dirac,
     random_field,
 )
@@ -56,13 +52,6 @@ class NormReport:
     value: float
     breakdown: dict = dc_field(default_factory=dict)
     metadata: dict = dc_field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "breakdown": {str(k): v for k, v in self.breakdown.items()},
-            "metadata": dict(self.metadata),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -146,79 +135,6 @@ def mixed_norm(tr: Trajectory, p: float, q: float) -> float:
     if not (1 <= p) or not (1 <= q):
         raise ValueError("exponents must lie in [1, inf]")
     return _time_aggregate(_spatial_norms(tr, q), tr.times, p)
-
-
-# ---------------------------------------------------------------------------
-# cap/cube sector norms
-
-
-def _box_slices(lattice: FrequencyLattice, center, half: int):
-    lo = [max(int(c) - half, -lattice.radius) for c in center]
-    hi = [min(int(c) + half, lattice.radius) for c in center]
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return tuple(
-        slice(a + lattice.radius, b + lattice.radius + 1) for a, b in zip(lo, hi)
-    )
-
-
-def _box_spatial_norms(box: np.ndarray, q: float, half: int) -> np.ndarray:
-    """Spatial L^q of fields whose modes sit in a centred box of half-side
-    ``half`` (modulation to the box centre leaves |u| unchanged)."""
-    m_frames = box.shape[0]
-    d = box.ndim - 2
-    if q == 2:
-        return np.linalg.norm(box.reshape(m_frames, -1), axis=1)
-    if q != np.inf and float(q).is_integer() and int(q) % 2 == 0:
-        grid = int(q) * half + 1
-    else:
-        grid = 4 * half + 3
-    grid = max(grid, max(box.shape[1 : 1 + d]))
-    return grid_lq_norms(box, d, q, grid)
-
-
-def sector_norm(
-    tr: Trajectory,
-    l: int,
-    k_cube: int,
-    p: float,
-    q: float,
-    cap_cover: CapCover | None = None,
-    cube_cover: CubeCover | None = None,
-) -> float:
-    """Sum over caps and cubes of the mixed norms of the localised pieces.
-
-    The anisotropic cap x cube norm: the field is first restricted to an
-    angular cap of scale l, then to a frequency cube of half-side 2^{k_cube},
-    and the L^p_t L^q_x norms of all pieces are added up.  The block norms
-    do not use it (see block_norm).
-    """
-    lat = tr.lattice
-    if lat.d > 3:
-        raise ValueError("sector norms need a cap cover, available only for d <= 3")
-    if cap_cover is None:
-        cap_cover = build_cap_cover(lat.d, l)
-    if cube_cover is None:
-        cube_cover = build_cube_cover(lat, k_cube)
-    caps = cap_symbols(cap_cover, lat)
-    amp = np.abs(tr.frames).max(axis=0).max(axis=-1)  # lattice-shaped support proxy
-    half = 2**k_cube
-    total = 0.0
-    for ci in range(cap_cover.n_caps):
-        cap_sym = caps[ci]
-        masked_amp = amp * cap_sym
-        if not np.any(masked_amp > 0.0):
-            continue
-        cap_frames = tr.frames * cap_sym[None, ..., None]
-        for center in cube_cover.centers:
-            sl = _box_slices(lat, center, half)
-            if sl is None or not np.any(masked_amp[sl] > 0.0):
-                continue
-            sym_box = cube_symbol(cube_cover, center)[sl]
-            box = cap_frames[(slice(None),) + sl] * sym_box[None, ..., None]
-            vals = _box_spatial_norms(box, q, half)
-            total += _time_aggregate(vals, tr.times, p)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +241,7 @@ def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:
 
 
 # ---------------------------------------------------------------------------
-# exponent bookkeeping and empirical constants
-
-
-def gn_derivative_order(q1: float, q2: float, d: int) -> int:
-    """Derivative count d * ceil(1/q1 - 1/q2) + 2d used by the interpolation
-    step that trades integrability for derivatives."""
-    inv1 = 0.0 if q1 == np.inf else 1.0 / q1
-    inv2 = 0.0 if q2 == np.inf else 1.0 / q2
-    z = math.ceil(inv1 - inv2)
-    return z * d + 2 * d
+# the measured derivative-vs-scale constant
 
 
 def annulus_energy_fraction(f: SpinorField, j: int) -> float:
@@ -431,33 +338,6 @@ def measure_bernstein_constant(
         "scales": list(scales),
         "max_order": max_order,
     }
-
-
-@dataclass
-class GNReport:
-    ratio: float
-    theta: float
-    q: float
-    k: int
-    bound: float
-    ok: bool
-
-
-def gn_report(f: SpinorField, q: float, k: int, bound: float = 10.0) -> GNReport:
-    """Interpolation-inequality probe: L^q norm against the L^2 norm and
-    order-k derivatives, with theta = d/(2k) - d/(qk)."""
-    d = f.lattice.d
-    inv_q = 0.0 if q == np.inf else 1.0 / q
-    theta = d / (2.0 * k) - d * inv_q / k
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"interpolation exponent {theta} outside [0, 1]")
-    l2 = f.l2_norm()
-    deriv = sum(derivative_monomial(f, alpha).l2_norm() for alpha in multi_indices(d, k))
-    lq = lq_norm(f, q)
-    denom = l2 ** (1.0 - theta) * deriv**theta + l2
-    ratio = lq / denom if denom > 0 else 0.0
-    return GNReport(ratio=float(ratio), theta=float(theta), q=q, k=k, bound=bound,
-                    ok=bool(ratio <= bound))
 
 
 # ---------------------------------------------------------------------------

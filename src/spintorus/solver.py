@@ -56,7 +56,6 @@ class SplitState:
 
     plus: SpinorField
     minus: SpinorField
-    g: GammaSet
 
     def total(self) -> SpinorField:
         return self.plus + self.minus
@@ -101,6 +100,8 @@ class SolveConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.s is None:
             self.s = self.d / 2.0
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         self.n_frames  # noqa: B018  (raises unless horizon / dt is a whole number)
 
     @property
@@ -116,7 +117,6 @@ def split(psi0: SpinorField, g: GammaSet) -> SplitState:
     return SplitState(
         plus=project_dirac(g, psi0, +1),
         minus=project_dirac(g, psi0, -1),
-        g=g,
     )
 
 
@@ -170,37 +170,6 @@ def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
         out[s] = _cumulative_trapezoid(integrand, dt)
         out[s] *= 1j * phase[s][..., None]
     return out
-
-
-def duhamel_integral(
-    branches: tuple[Trajectory, Trajectory],
-    F: PowerSeriesNonlinearity,
-    g: GammaSet,
-    t: float,
-) -> tuple[SpinorField, SpinorField]:
-    """Duhamel correction of both branches at frame time t.
-
-    Trapezoid quadrature of the propagated, projected nonlinearity over
-    [0, t]; t must be one of the frame times of the (shared) grid.
-    """
-    plus_tr, minus_tr = branches
-    if plus_tr.lattice != minus_tr.lattice or plus_tr.n_frames != minus_tr.n_frames:
-        raise ValueError("branch trajectories do not share a grid")
-    times = plus_tr.times
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-        raise ValueError(f"time {t} outside the trajectory window")
-    k = int(round((t - times[0]) / plus_tr.dt)) if plus_tr.n_frames > 1 else 0
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not a frame time")
-    lattice = plus_tr.lattice
-    total = plus_tr.frames[: k + 1] + minus_tr.frames[: k + 1]
-    corr = _duhamel_corrections(F, g, projector_multiplier(g, lattice, +1),
-                                _phases(times[: k + 1], lattice), plus_tr.dt,
-                                total)
-    return (
-        SpinorField(lattice, plus_tr.d0, corr[+1][-1]),
-        SpinorField(lattice, plus_tr.d0, corr[-1][-1]),
-    )
 
 
 @dataclass
@@ -305,7 +274,6 @@ def evolve_dirac_rk4(
     g: GammaSet,
     dt: float,
     horizon: float,
-    substeps: int = 1,
 ) -> Trajectory:
     """Fourth-order explicit stepper for the full split system in frequency
     space, with the linear half-wave flow applied exactly (interaction
@@ -321,7 +289,7 @@ def evolve_dirac_rk4(
     }
     frames = np.empty((n_frames,) + lattice.shape + (g.d0,), dtype=np.complex128)
     frames[0] = u[+1] + u[-1]
-    h = dt / substeps
+    end_phase = {s: np.exp(-1j * s * dt * bracket)[..., None] for s in (+1, -1)}
 
     def rhs(tau: float, v: dict) -> dict:
         # v holds interaction-picture branches relative to the step start
@@ -339,16 +307,13 @@ def evolve_dirac_rk4(
         return out
 
     for k in range(1, n_frames):
-        for _ in range(substeps):
-            v = {s: u[s].copy() for s in (+1, -1)}
-            k1 = rhs(0.0, v)
-            k2 = rhs(0.5 * h, {s: v[s] + 0.5 * h * k1[s] for s in (+1, -1)})
-            k3 = rhs(0.5 * h, {s: v[s] + 0.5 * h * k2[s] for s in (+1, -1)})
-            k4 = rhs(h, {s: v[s] + h * k3[s] for s in (+1, -1)})
-            end_phase = {s: np.exp(-1j * s * h * bracket)[..., None] for s in (+1, -1)}
-            for s in (+1, -1):
-                vnew = v[s] + (h / 6.0) * (k1[s] + 2 * k2[s] + 2 * k3[s] + k4[s])
-                u[s] = end_phase[s] * vnew
+        k1 = rhs(0.0, u)
+        k2 = rhs(0.5 * dt, {s: u[s] + 0.5 * dt * k1[s] for s in (+1, -1)})
+        k3 = rhs(0.5 * dt, {s: u[s] + 0.5 * dt * k2[s] for s in (+1, -1)})
+        k4 = rhs(dt, {s: u[s] + dt * k3[s] for s in (+1, -1)})
+        for s in (+1, -1):
+            step = k1[s] + 2 * k2[s] + 2 * k3[s] + k4[s]
+            u[s] = end_phase[s] * (u[s] + (dt / 6.0) * step)
         frames[k] = u[+1] + u[-1]
     return Trajectory(lattice, g.d0, times, frames)
 

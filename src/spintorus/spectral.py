@@ -244,22 +244,6 @@ def inverse_fourier(f: SpinorField, grid: int | None = None) -> np.ndarray:
     return to_grid(f.coeffs, f.lattice.d, m)
 
 
-def lq_norm(f: SpinorField, q: float, grid: int | None = None) -> float:
-    """Spatial L^q norm w.r.t. the normalised measure dx/(2pi)^d.
-
-    q = 2 is an exact lattice sum (Plancherel); finite even q is exact on a
-    grid of q*N+1 points per axis (|u|^q is a trigonometric polynomial of
-    degree q*N); other q use the same grid as quadrature.
-    """
-    if q == 2:
-        return f.l2_norm()
-    n = f.lattice.radius
-    if grid is None:
-        qq = int(q) if q not in (np.inf,) and float(q).is_integer() else 4
-        grid = max(qq, 4) * n + 1
-    return float(grid_lq_norms(f.coeffs, f.lattice.d, q, grid))
-
-
 # ---------------------------------------------------------------------------
 # multipliers
 
@@ -291,11 +275,6 @@ def scalar_multiplier(lattice: FrequencyLattice, values: np.ndarray) -> Multipli
     return Multiplier(lattice, "scalar", np.asarray(values))
 
 
-def bracket_multiplier(lattice: FrequencyLattice) -> Multiplier:
-    """Symbol <xi> of the relativistic dispersion operator."""
-    return scalar_multiplier(lattice, lattice.bracket)
-
-
 def apply_multiplier(m: Multiplier, f: SpinorField) -> SpinorField:
     """Coefficientwise product m(xi) u^(xi); linear in the field."""
     if m.lattice != f.lattice:
@@ -306,14 +285,6 @@ def apply_multiplier(m: Multiplier, f: SpinorField) -> SpinorField:
         raise ValueError("matrix symbol order does not match the spinor dimension")
     out = np.einsum("...ab,...b->...a", m.values, f.coeffs)
     return SpinorField(f.lattice, f.d0, out)
-
-
-def partial_derivative(f: SpinorField, axis: int) -> SpinorField:
-    """D_j f = -i d/dx^j f: multiplies coefficients by xi_j (axis is 1-based)."""
-    if axis < 1 or axis > f.lattice.d:
-        raise ValueError(f"axis {axis} out of range 1..{f.lattice.d}")
-    xi_j = f.lattice.xi[..., axis - 1]
-    return SpinorField(f.lattice, f.d0, f.coeffs * xi_j[..., None])
 
 
 def derivative_monomial(f: SpinorField, alpha) -> SpinorField:
@@ -422,4 +393,3 @@ class Trajectory:
         return Trajectory(
             self.lattice, self.d0, self.times, self.frames * values[None, ..., None]
         )
-

@@ -197,7 +197,7 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_usage_exit_on_bad_flag():
+def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["solve", "--no-such-flag"]) == EXIT_USAGE
     assert main(["verify", "--config", "/missing/config.json"]) == EXIT_USAGE
     assert main(["solve", "--dt", "0.3"]) == EXIT_USAGE
@@ -217,3 +217,15 @@ def test_usage_exit_on_bad_flag():
     assert main(["audit", "--constant", "-1"]) == EXIT_USAGE
     assert main(["audit", "--constant", "0"]) == EXIT_USAGE
     assert main(["audit", "--lattice-radius", "1"]) == EXIT_USAGE  # no annulus to measure
+    out = ["--out", str(tmp_path / "out")]
+    config = tmp_path / "nan_s.json"
+    config.write_text('{"s": NaN}')
+    assert main(["solve", "--config", str(config), "--horizon", "0.0234375"]
+                + out) == EXIT_USAGE
+    assert main(["solve", "--defect-budget", "nan"] + out) == EXIT_USAGE
+    assert main(["compare-kg", "--distance-budget", "nan"] + out) == EXIT_USAGE
+    series = tmp_path / "nan_series.json"
+    series.write_text('[{"p": [3, 0], "c": [[NaN, 0], [0, 0]]}]')
+    assert main(["solve", "--nonlinearity", str(series)] + out) == EXIT_USAGE
+    assert main(["audit", "--nonlinearity", str(series), "--constant", "2"]
+                + out) == EXIT_USAGE

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from spintorus.dyadic import (
+    CAP_OVERLAP_BOUND,
     annulus_profile,
     build_cap_cover,
     build_cube_cover,
-    cap_piece,
     cap_symbols,
-    cube_piece,
+    covering_scale_range,
     cube_symbol,
     lowpass_profile,
     modulation_block,
     modulation_distance,
-    modulation_scale_range,
     normalized_bump_1d,
-    radial_block,
+    radial_symbol,
     wide_annulus_profile,
-    wide_radial_block,
+    wide_radial_symbol,
 )
 from spintorus.spectral import (
     FrequencyLattice,
@@ -31,6 +30,11 @@ from spintorus.spectral import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def _times(f: SpinorField, symbol: np.ndarray) -> SpinorField:
+    """The field with every coefficient multiplied by a scalar symbol."""
+    return SpinorField(f.lattice, f.d0, f.coeffs * symbol[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +78,14 @@ def test_wide_profile_bounded():
 def test_plateau_plane_wave_unchanged():
     lat = FrequencyLattice(1, 8)
     pw = plane_wave(lat, 2, [4], [1.0, 0.0])  # |xi| = 2^{j+1} with j = 1
-    out = radial_block(pw, 1)
+    out = _times(pw, radial_symbol(lat, 1))
     assert np.abs(out.coeffs - pw.coeffs).max() == 0.0
 
 
 def test_low_frequency_annihilated():
     lat = FrequencyLattice(1, 8)
     pw = plane_wave(lat, 2, [1], [1.0, 0.0])  # |xi| = 1 < 2^j for j = 1
-    assert radial_block(pw, 1).l2_norm() == 0.0
+    assert _times(pw, radial_symbol(lat, 1)).l2_norm() == 0.0
 
 
 def test_block_sum_telescopes(rng):
@@ -89,7 +93,7 @@ def test_block_sum_telescopes(rng):
     f = random_field(lat, 2, rng, annulus=(1.0, 2.0**3))
     acc = np.zeros_like(f.coeffs)
     for j in range(-3, 4):
-        acc += radial_block(f, j).coeffs
+        acc += _times(f, radial_symbol(lat, j)).coeffs
     assert np.abs(acc - f.coeffs).max() <= 1e-12
 
 
@@ -100,8 +104,8 @@ def test_wide_block_absorbs_block(rng):
     for _ in range(10):
         f = random_field(lat, 2, rng)
         for j in range(0, 4):
-            pj = radial_block(f, j)
-            out = wide_radial_block(pj, j + 1)
+            pj = _times(f, radial_symbol(lat, j))
+            out = _times(pj, wide_radial_symbol(lat, j + 1))
             assert np.abs(out.coeffs - pj.coeffs).max() <= 1e-12
 
 
@@ -109,25 +113,25 @@ def test_wide_block_far_frequencies_zero():
     lat = FrequencyLattice(1, 32)
     j = 1
     pw = plane_wave(lat, 2, [2 ** (j + 4)], [1.0, 0.0])
-    assert wide_radial_block(pw, j).l2_norm() == 0.0
+    assert _times(pw, wide_radial_symbol(lat, j)).l2_norm() == 0.0
 
 
 def test_disjoint_blocks_annihilate(rng):
     lat = FrequencyLattice(2, 8)
     f = random_field(lat, 2, rng)
     for j, jp in [(0, 3), (-1, 2), (1, 4)]:
-        twice = radial_block(radial_block(f, j), jp)
+        twice = _times(_times(f, radial_symbol(lat, j)), radial_symbol(lat, jp))
         assert twice.l2_norm() <= 1e-12 * max(f.l2_norm(), 1.0)
 
 
 def test_blocks_are_l2_contractive_and_commute(rng):
     lat = FrequencyLattice(2, 6)
     f = random_field(lat, 2, rng)
-    a = radial_block(wide_radial_block(f, 2), 1)
-    b = wide_radial_block(radial_block(f, 1), 2)
+    a = _times(_times(f, wide_radial_symbol(lat, 2)), radial_symbol(lat, 1))
+    b = _times(_times(f, radial_symbol(lat, 1)), wide_radial_symbol(lat, 2))
     assert np.abs(a.coeffs - b.coeffs).max() <= 1e-14
     for j in range(-1, 4):
-        assert radial_block(f, j).l2_norm() <= f.l2_norm() * (1 + 1e-14)
+        assert _times(f, radial_symbol(lat, j)).l2_norm() <= f.l2_norm() * (1 + 1e-14)
 
 
 def test_bernstein_type_bound_exact(rng):
@@ -136,7 +140,7 @@ def test_bernstein_type_bound_exact(rng):
 
     lat = FrequencyLattice(2, 8)
     for _ in range(20):
-        f = radial_block(random_field(lat, 1, rng), 1)
+        f = _times(random_field(lat, 1, rng), radial_symbol(lat, 1))
         if f.l2_norm() == 0.0:
             continue
         for alpha in [(1, 0), (0, 2), (1, 1), (2, 1)]:
@@ -197,7 +201,7 @@ def test_modulation_telescoping_away_from_characteristic(rng):
     )
     tr = Trajectory(lat, 2, times, frames)
     dist = modulation_distance(tr, +1)
-    jmin, jmax = modulation_scale_range(tr, +1)
+    jmin, jmax = covering_scale_range(dist)
     acc = np.zeros_like(frames)
     for j in range(jmin, jmax + 1):
         acc += modulation_block(tr, j, +1).frames
@@ -206,21 +210,6 @@ def test_modulation_telescoping_away_from_characteristic(rng):
     spec[dist == 0.0] = 0.0
     clean = np.fft.ifft(spec, axis=0)
     assert np.abs(acc - clean).max() <= 1e-10 * np.abs(frames).max()
-
-
-def test_taper_reduces_offgrid_leakage():
-    # an off-grid free wave leaks across modulation scales; the Hann taper
-    # concentrates it (at the price of the partition property)
-    lat = FrequencyLattice(1, 4)
-    br = japanese_bracket([3])
-    m, dt = 64, 0.21  # window incommensurate with the wave period
-    times = dt * np.arange(m)
-    w = plane_wave(lat, 2, [3], [1.0, 0.0]).coeffs
-    tr = Trajectory(lat, 2, times, np.exp(-1j * br * times)[:, None, None] * w[None])
-    j_far = 3  # scale far from the (zero) modulation of the matching sign
-    raw = np.linalg.norm(modulation_block(tr, j_far, +1).frames)
-    tapered = np.linalg.norm(modulation_block(tr, j_far, +1, taper=True).frames)
-    assert tapered < raw
 
 
 def test_modulation_needs_two_frames(rng):
@@ -266,7 +255,7 @@ def test_cover_overlap_bound(rng):
         dirs = rng.standard_normal((2000, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         counts = (cover.raw_weights(dirs) > 0).sum(axis=1)
-        assert counts.max() <= cover.overlap_bound
+        assert counts.max() <= CAP_OVERLAP_BOUND
 
 
 def test_caps_error_above_three_dimensions():
@@ -279,8 +268,8 @@ def test_cap_pieces_partition_field(rng):
     cover = build_cap_cover(2, 1)
     f = random_field(lat, 2, rng)
     acc = np.zeros_like(f.coeffs)
-    for k in range(cover.n_caps):
-        acc += cap_piece(f, cover, k).coeffs
+    for sym in cap_symbols(cover, lat):
+        acc += _times(f, sym).coeffs
     expected = f.coeffs.copy()
     expected[5, 5] = 0.0  # the zero frequency is dropped by every cap
     assert np.abs(acc - expected).max() <= 1e-12 * np.abs(f.coeffs).max()
@@ -290,19 +279,13 @@ def test_cap_piece_cone_support(rng):
     lat = FrequencyLattice(2, 6)
     cover = build_cap_cover(2, 2)
     f = plane_wave(lat, 2, [6, 0], [1.0, 0.0])
-    hits = [k for k in range(cover.n_caps) if cap_piece(f, cover, k).l2_norm() > 0]
+    table = cap_symbols(cover, lat)
+    hits = [k for k in range(cover.n_caps) if _times(f, table[k]).l2_norm() > 0]
     # only caps whose support cone contains the +x direction survive
     for k in hits:
         angle = np.arccos(np.clip(cover.centers[k] @ np.array([1.0, 0.0]), -1, 1))
         assert angle < cover.width
-    assert 1 <= len(hits) <= cover.overlap_bound
-
-
-def test_cap_piece_id_checked(rng):
-    cover = build_cap_cover(2, 1)
-    f = random_field(FrequencyLattice(2, 3), 2, rng)
-    with pytest.raises(ValueError):
-        cap_piece(f, cover, cover.n_caps)
+    assert 1 <= len(hits) <= CAP_OVERLAP_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +312,7 @@ def test_cube_partition_interior(rng):
             cov = build_cube_cover(lat, k)
             acc = np.zeros_like(f.coeffs)
             for n in cov.centers:
-                acc += cube_piece(f, cov, n).coeffs
+                acc += _times(f, cube_symbol(cov, n)).coeffs
             assert np.abs(acc - f.coeffs).max() <= 1e-12 * max(np.abs(f.coeffs).max(), 1)
 
 
@@ -341,14 +324,6 @@ def test_unit_cubes_are_disjoint_on_integers():
     for xi in range(-6, 7):
         hits = sum(1 for n in cov.centers if cube_symbol(cov, n)[xi + 6] > 0)
         assert hits <= 2
-
-
-def test_cube_center_membership_checked(rng):
-    lat = FrequencyLattice(1, 6)
-    cov = build_cube_cover(lat, 1)
-    f = random_field(lat, 2, rng)
-    with pytest.raises(ValueError):
-        cube_piece(f, cov, np.array([3]))  # not a multiple of 2
 
 
 def test_symbol_tables_cache(rng):

@@ -1,35 +1,16 @@
-import csv
 import json
 
 import numpy as np
 import pytest
 
 from spintorus.clifford import build_gamma
-from spintorus.dyadic import radial_symbol
-from spintorus.fieldio import (
-    dump_breakdown_csv,
-    dump_symbol_table,
-    field_from_json_dict,
-    field_to_json_dict,
-    load_field,
-    load_trajectory,
-    save_field,
-    save_norm_report,
-    save_trajectory,
-)
-from spintorus.norms import NormReport
+from spintorus.fieldio import load_field, load_trajectory, save_field, save_trajectory
 from spintorus.spectral import FrequencyLattice, Trajectory, random_field
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(31)
-
-
-def test_field_json_roundtrip(rng):
-    f = random_field(FrequencyLattice(2, 3), 2, rng)
-    g = field_from_json_dict(field_to_json_dict(f))
-    assert np.abs(g.coeffs - f.coeffs).max() <= 1e-15
 
 
 def test_field_binary_roundtrip(tmp_path, rng):
@@ -78,37 +59,6 @@ def test_trajectory_roundtrip(tmp_path, rng):
         manifest = json.load(fh)
     assert manifest["note"] == "test"
     assert manifest["n_frames"] == 4
-
-
-def test_symbol_table_csv(tmp_path):
-    lat = FrequencyLattice(1, 3)
-    dump_symbol_table(
-        lat,
-        {"block0": radial_symbol(lat, 0), "block1": radial_symbol(lat, 1)},
-        str(tmp_path / "symbols.csv"),
-    )
-    with open(tmp_path / "symbols.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["xi_1", "block0", "block1"]
-    assert len(rows) == 1 + 7
-    xi = np.array([int(r[0]) for r in rows[1:]])
-    assert np.array_equal(xi, np.arange(-3, 4))
-    col = np.array([float(r[1]) for r in rows[1:]])
-    assert np.allclose(col, radial_symbol(lat, 0))
-
-
-def test_norm_report_json_and_csv(tmp_path):
-    rep = NormReport(value=3.0, breakdown={0: 1.0, 1: 2.0}, metadata={"kind": "demo"})
-    save_norm_report(rep, str(tmp_path / "report.json"))
-    with open(tmp_path / "report.json") as fh:
-        obj = json.load(fh)
-    assert obj["value"] == 3.0
-    assert obj["breakdown"]["0"] == 1.0
-    dump_breakdown_csv(rep, str(tmp_path / "breakdown.csv"))
-    with open(tmp_path / "breakdown.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["scale", "contribution"]
-    assert float(rows[1][1]) == 1.0
 
 
 def test_gamma_json_export():

@@ -20,15 +20,12 @@ from spintorus.nonlinear import (
     direct_quantity,
     evaluate,
     evaluate_coefficients,
-    evaluate_on_field,
     growth_audit,
     growth_threshold,
     jacobian,
     load_nonlinearity,
     matrix_weights,
-    modulation_weight_sum,
     multinomial_split,
-    save_nonlinearity_file,
     load_nonlinearity_file,
 )
 from spintorus.spectral import FrequencyLattice, Multiplier, SpinorField, apply_multiplier, plane_wave, random_field
@@ -107,7 +104,7 @@ def test_field_zero_series():
     lat = FrequencyLattice(1, 5)
     F = PowerSeriesNonlinearity(2, {})
     f = plane_wave(lat, 2, [2], [1.0, 0.0])
-    assert evaluate_on_field(F, f).l2_norm() == 0.0
+    assert not evaluate_coefficients(F, f.coeffs, lat).any()
 
 
 def test_field_linear_series_is_a_multiplier(rng):
@@ -118,7 +115,7 @@ def test_field_linear_series_is_a_multiplier(rng):
     F = PowerSeriesNonlinearity(2, {(1, 0): c1, (0, 1): c2})
     mat = np.stack([c1, c2], axis=1)  # columns are d/dpsi_k
     f = random_field(lat, 2, rng)
-    lhs = evaluate_on_field(F, f)
+    lhs = SpinorField(lat, 2, evaluate_coefficients(F, f.coeffs, lat))
     values = np.broadcast_to(mat, lat.shape + (2, 2))
     rhs = apply_multiplier(Multiplier(lat, "matrix", np.ascontiguousarray(values)), f)
     assert (lhs - rhs).l2_norm() <= 1e-12 * f.l2_norm()
@@ -129,7 +126,7 @@ def test_field_cubic_plane_wave_support():
     lat = FrequencyLattice(1, 8)
     F = bundled_cubic(2)
     f = plane_wave(lat, 2, [2], [0.5, 0.0])
-    out = evaluate_on_field(F, f)
+    out = SpinorField(lat, 2, evaluate_coefficients(F, f.coeffs, lat))
     expect = SpinorField.zeros(lat, 2)
     expect.set_coefficient([6], [0.125, 0.0])
     assert (out - expect).l2_norm() <= 1e-12
@@ -142,8 +139,8 @@ def test_field_translation_covariance(rng):
     f = random_field(lat, 2, rng)
     shift = np.exp(-1j * lat.xi[..., 0] * 0.7)[..., None]
     shifted = SpinorField(lat, 2, f.coeffs * shift)
-    lhs = evaluate_on_field(F, shifted).coeffs
-    rhs = evaluate_on_field(F, f).coeffs * shift
+    lhs = evaluate_coefficients(F, shifted.coeffs, lat)
+    rhs = evaluate_coefficients(F, f.coeffs, lat) * shift
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -399,30 +396,26 @@ def test_audit_rejects_empty():
         growth_audit(PowerSeriesNonlinearity(2, {}), g, 2.0)
 
 
-def test_modulation_weight_partial_sums_grow():
-    a = modulation_weight_sum(3, 2.83, 5)
-    b = modulation_weight_sum(3, 2.83, 50)
-    assert b > a  # diagnostic only: the series has no finite limit
-    assert b - a == pytest.approx(2 * 45, rel=0.05)
-
-
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _records(F):
+    return [
+        {"p": list(p), "c": [[z.real, z.imag] for z in c]} for p, c in F.terms.items()
+    ]
 
 
 def test_json_list_format_roundtrip(tmp_path, rng):
     F = _random_series(rng)
     path = tmp_path / "series.json"
-    save_nonlinearity_file(F, str(path))
+    path.write_text(json.dumps(_records(F)))
     G = load_nonlinearity_file(str(path))
     assert set(G.terms) == set(F.terms)
     for p in F.terms:
         assert np.abs(G.terms[p] - F.terms[p]).max() <= 1e-15
     # the plain-list format is accepted verbatim
-    records = [
-        {"p": list(p), "c": [[z.real, z.imag] for z in c]} for p, c in F.terms.items()
-    ]
-    H = load_nonlinearity(records)
+    H = load_nonlinearity(_records(F))
     assert set(H.terms) == set(F.terms)
     assert H.tail_ratio is None
 
@@ -430,12 +423,24 @@ def test_json_list_format_roundtrip(tmp_path, rng):
 def test_json_object_format_carries_tail(tmp_path):
     F = bundled_geometric(2, 0.5, 4)
     path = tmp_path / "geo.json"
-    save_nonlinearity_file(F, str(path))
-    with open(path) as fh:
-        obj = json.load(fh)
-    assert obj["tail_ratio"] == 0.5
+    path.write_text(json.dumps({"terms": _records(F), "tail_ratio": 0.5}))
     G = load_nonlinearity_file(str(path))
     assert G.tail_ratio == 0.5
+    assert set(G.terms) == set(F.terms)
+
+
+def test_load_rejects_non_finite_values():
+    good = [{"p": [3, 0], "c": [[1.0, 0.0], [0.0, 0.0]]}]
+    assert load_nonlinearity(good).max_degree == 3
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for c in ([[bad, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, bad]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                load_nonlinearity([{"p": [3, 0], "c": c}])
+        with pytest.raises(ValueError, match="tail_ratio"):
+            load_nonlinearity({"terms": good, "tail_ratio": bad})
+    # a NaN written by json.dump is read back as NaN, and still rejected
+    with pytest.raises(ValueError, match="non-finite"):
+        load_nonlinearity(json.loads('[{"p": [3, 0], "c": [[NaN, 0], [0, 0]]}]'))
 
 
 def test_load_rejects_garbage():

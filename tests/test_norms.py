@@ -4,27 +4,17 @@ import numpy as np
 import pytest
 
 from spintorus.clifford import build_gamma
-from spintorus.dyadic import (
-    build_cap_cover,
-    build_cube_cover,
-    cap_symbols,
-    cube_symbol,
-    radial_scale_range,
-    radial_symbol,
-)
+from spintorus.dyadic import radial_scale_range, radial_symbol
 from spintorus.norms import (
     annulus_energy_fraction,
     bernstein_ratio,
     besov_norm,
     block_norm,
-    gn_derivative_order,
-    gn_report,
     measure_bernstein_constant,
     mixed_norm,
     modulation_norm,
     multi_indices,
     projector_bound_probe,
-    sector_norm,
     sobolev_norm,
     solution_norm,
     standard_probe_set,
@@ -182,60 +172,6 @@ def test_mixed_quadrature_exact_for_l4(rng):
 
 
 # ---------------------------------------------------------------------------
-# sector norms
-
-
-def test_sector_single_plane_wave_oracle(rng):
-    lat = FrequencyLattice(2, 6)
-    xi0 = [2, -1]
-    tr = _free_wave_trajectory(lat, xi0, m=12, periods=3)
-    l, kc = 1, 1
-    cover = build_cap_cover(2, l)
-    cubes = build_cube_cover(lat, kc)
-    # oracle: enumerate the cap/cube weights at xi0; each piece is that
-    # multiple of the plane wave, so the sum is (sum of weights) * norm
-    idx = tuple(np.array(xi0) + lat.radius)
-    wsum = 0.0
-    cap_tab = cap_symbols(cover, lat)
-    for ci in range(cover.n_caps):
-        wc = cap_tab[ci][idx]
-        if wc == 0.0:
-            continue
-        for n in cubes.centers:
-            wsum += wc * cube_symbol(cubes, n)[idx]
-    base = mixed_norm(tr, 4.0, 4.0)
-    val = sector_norm(tr, l, kc, 4.0, 4.0, cover, cubes)
-    assert val == pytest.approx(wsum * base, rel=1e-12)
-    assert wsum == pytest.approx(1.0, rel=1e-12)  # interior point: full partition
-
-
-def test_sector_zero(rng):
-    lat = FrequencyLattice(2, 4)
-    tr = Trajectory(lat, 2, np.arange(3) * 0.1,
-                    np.zeros((3,) + lat.shape + (2,), complex))
-    assert sector_norm(tr, 0, 0, 4.0, 4.0) == 0.0
-
-
-def test_sector_dominates_mixed(rng):
-    # triangle inequality: the pieces sum back to the field (interior, no DC)
-    lat = FrequencyLattice(2, 6)
-    f = random_field(lat, 2, rng)
-    mask = (np.all(np.abs(lat.xi) <= 4, axis=-1)) & (lat.xi_norm_sq > 0)
-    f = SpinorField(lat, 2, f.coeffs * mask[..., None])
-    tr = _static_trajectory(f, m=5, dt=0.2)
-    val = sector_norm(tr, 1, 1, 4.0, 4.0)
-    assert val >= mixed_norm(tr, 4.0, 4.0) * (1 - 1e-12)
-
-
-def test_sector_rejects_high_dimension(rng):
-    lat = FrequencyLattice(4, 1)
-    tr = Trajectory(lat, 4, np.arange(3) * 0.1,
-                    np.zeros((3,) + lat.shape + (4,), complex))
-    with pytest.raises(ValueError):
-        sector_norm(tr, 0, 0, 4.0, 4.0)
-
-
-# ---------------------------------------------------------------------------
 # modulation norms
 
 
@@ -247,11 +183,13 @@ def test_modulation_norm_free_wave_budget():
 
 
 def test_modulation_norm_sup_aggregation(rng):
-    from spintorus.dyadic import modulation_scale_range, modulation_block, window_length
+    from spintorus.dyadic import (
+        covering_scale_range, modulation_block, modulation_distance, window_length,
+    )
 
     lat = FrequencyLattice(1, 3)
     tr = standard_probe_set(lat, 2, 1, 16, 0.17, seed=2)[0]
-    jmin, jmax = modulation_scale_range(tr, +1)
+    jmin, jmax = covering_scale_range(modulation_distance(tr, +1))
     t_win = window_length(tr)
     vals = []
     for j in range(jmin, jmax + 1):
@@ -265,11 +203,11 @@ def test_modulation_norm_sup_aggregation(rng):
 
 
 def test_modulation_norm_lp_aggregation(rng):
-    from spintorus.dyadic import modulation_block, modulation_scale_range
+    from spintorus.dyadic import covering_scale_range, modulation_block, modulation_distance
 
     lat = FrequencyLattice(1, 3)
     tr = standard_probe_set(lat, 2, 1, 12, 0.19, seed=12)[0]
-    jmin, jmax = modulation_scale_range(tr, -1)
+    jmin, jmax = covering_scale_range(modulation_distance(tr, -1))
     vals = []
     for j in range(jmin, jmax + 1):
         q = modulation_block(tr, j, -1)
@@ -416,17 +354,7 @@ def test_solution_norm_runs_one_time_fft(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exponent bookkeeping
-
-
-def test_gn_derivative_order_values():
-    assert gn_derivative_order(3.0, 3.0, 5) == 10        # equal exponents -> 2d
-    assert gn_derivative_order(2.0, np.inf, 7) == 21     # 1/2 gap -> 3d
-    assert gn_derivative_order(4.0, 4.0, 9) == 18
-
-
-# ---------------------------------------------------------------------------
-# Bernstein and interpolation probes
+# Bernstein probes
 
 
 def test_bernstein_plane_wave_values():
@@ -455,41 +383,6 @@ def test_bernstein_scan_stable_across_seeds():
     assert a["violations"] == 0 and b["violations"] == 0
     assert abs(a["c_meas"] - b["c_meas"]) <= 0.05 * a["c_meas"]
     assert a["c_meas"] <= 4.0
-
-
-def test_gn_constant_field():
-    lat = FrequencyLattice(2, 4)
-    f = plane_wave(lat, 2, [0, 0], [2.0, 0.0])
-    rep = gn_report(f, 4.0, 1)
-    assert rep.theta == pytest.approx(0.5)
-    assert np.isfinite(rep.ratio) and rep.ratio == pytest.approx(1.0, rel=1e-12)
-
-
-def test_gn_plane_wave_closed_form():
-    lat = FrequencyLattice(2, 6)
-    xi0 = np.array([3, -2])
-    f = plane_wave(lat, 2, xi0, [1.0, 0.0])
-    rep = gn_report(f, 4.0, 1)
-    # |e^{i x xi0}| = 1, so every L^q norm is 1 and the derivative sum is
-    # sum_{|alpha|=1} |xi0^alpha| = |3| + |-2| = 5
-    expected = 1.0 / (5.0**rep.theta + 1.0)
-    assert rep.ratio == pytest.approx(expected, rel=1e-10)
-
-
-def test_gn_rejects_bad_exponent():
-    lat = FrequencyLattice(1, 4)
-    f = plane_wave(lat, 1, [1], [1.0])
-    with pytest.raises(ValueError):
-        gn_report(f, 1.0, 1)  # theta would leave [0, 1]
-
-
-def test_gn_scan_records_max(rng):
-    lat = FrequencyLattice(2, 5)
-    worst = 0.0
-    for _ in range(50):
-        f = random_field(lat, 2, rng)
-        worst = max(worst, gn_report(f, 4.0, 1).ratio)
-    assert 0.0 < worst < 10.0
 
 
 def test_multi_indices_counts():

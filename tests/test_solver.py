@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from spintorus.clifford import build_gamma
-from spintorus.nonlinear import PowerSeriesNonlinearity, bundled_cubic
+from spintorus.nonlinear import PowerSeriesNonlinearity, bundled_cubic, evaluate_coefficients
 from spintorus.norms import solution_norm
 from spintorus.solver import (
     PicardError,
     SolveConfig,
+    _duhamel_corrections,
+    _phases,
     dirac_residual,
-    duhamel_integral,
     evolve_dirac_rk4,
     evolve_klein_gordon,
     gaussian_data,
@@ -26,6 +27,7 @@ from spintorus.spectral import (
     japanese_bracket,
     plane_wave,
     project_dirac,
+    projector_multiplier,
     projector_symbol,
     random_field,
 )
@@ -82,38 +84,24 @@ def test_half_wave_basics(rng):
 # Duhamel quadrature
 
 
-def _constant_branch_trajectories(lat, psi_c, m, dt):
-    times = dt * np.arange(m)
-    plus = project_dirac(G1, psi_c, +1)
-    minus = project_dirac(G1, psi_c, -1)
-    fr_p = np.repeat(plus.coeffs[None], m, axis=0)
-    fr_m = np.repeat(minus.coeffs[None], m, axis=0)
-    return (
-        Trajectory(lat, 2, times, fr_p),
-        Trajectory(lat, 2, times, fr_m),
-    )
-
-
-def test_duhamel_zero_nonlinearity(rng):
-    F0 = PowerSeriesNonlinearity(2, {})
-    branches = _constant_branch_trajectories(LAT16, random_field(LAT16, 2, rng), 9, 0.05)
-    dp, dm = duhamel_integral(branches, F0, G1, 0.4)
-    assert dp.l2_norm() == 0.0 and dm.l2_norm() == 0.0
+def _constant_psi_corrections(F, psi_c, m, dt):
+    """Both Duhamel corrections at the last of m frames, psi constant in time."""
+    frames = np.repeat(psi_c.coeffs[None], m, axis=0)
+    corr = _duhamel_corrections(F, G1, projector_multiplier(G1, LAT16, +1),
+                                _phases(dt * np.arange(m), LAT16), dt, frames)
+    return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
 
 
 def test_duhamel_constant_integrand_closed_form(rng):
     # psi constant in s: the integral is i (1 - e^{-i t <xi>}) / <xi> G0^
     F = bundled_cubic(2)
     psi_c = gaussian_data(LAT16, 2, 0.05, 0.5, seed=4)
-    from spintorus.nonlinear import evaluate_on_field
-
-    g0 = evaluate_on_field(F, psi_c)
-    g0 = SpinorField(LAT16, 2, np.einsum("ab,...b->...a", G1.beta, g0.coeffs))
+    g0 = evaluate_coefficients(F, psi_c.coeffs, LAT16)
+    g0 = SpinorField(LAT16, 2, np.einsum("ab,...b->...a", G1.beta, g0))
     t = 0.5
     errs = []
     for dt in (0.05, 0.025):
-        branches = _constant_branch_trajectories(LAT16, psi_c, int(round(t / dt)) + 1, dt)
-        dp, dm = duhamel_integral(branches, F, G1, t)
+        dp, dm = _constant_psi_corrections(F, psi_c, int(round(t / dt)) + 1, dt)
         bracket = LAT16.bracket[..., None]
         for sign, out in ((+1, dp), (-1, dm)):
             proj = project_dirac(G1, g0, sign).coeffs
@@ -128,38 +116,30 @@ def test_duhamel_constant_integrand_closed_form(rng):
 def test_duhamel_plus_branch_in_projector_range(rng):
     F = bundled_cubic(2)
     psi_c = gaussian_data(LAT16, 2, 0.05, 0.5, seed=5)
-    branches = _constant_branch_trajectories(LAT16, psi_c, 11, 0.05)
-    dp, _ = duhamel_integral(branches, F, G1, 0.5)
+    dp, _ = _constant_psi_corrections(F, psi_c, 11, 0.05)
     off = project_dirac(G1, dp, -1)
     assert off.l2_norm() <= 1e-12 * max(dp.l2_norm(), 1e-30)
-
-
-def test_duhamel_time_checks(rng):
-    F = bundled_cubic(2)
-    branches = _constant_branch_trajectories(LAT16, random_field(LAT16, 2, rng), 5, 0.1)
-    with pytest.raises(ValueError, match="outside"):
-        duhamel_integral(branches, F, G1, 0.7)
-    with pytest.raises(ValueError, match="frame"):
-        duhamel_integral(branches, F, G1, 0.13)
 
 
 # ---------------------------------------------------------------------------
 # Picard iteration
 
 
-def test_free_solve_is_exact_split_flow(rng):
+def test_free_solve_is_exact_split_flow():
     psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=6)
-    cfg = SolveConfig(d=1, radius=16, dt=0.02, horizon=1.0, epsilon=1e-3,
-                      nonlinearity=None, monitor_solution_norm=False)
-    res = picard_solve(cfg, psi0)
-    assert res.diagnostics["iterations"] == 1
-    assert res.diagnostics["distances"] == [0.0]
     st = split(psi0, G1)
-    err = 0.0
-    for k, t in enumerate(res.trajectory.times):
-        exact = half_wave(st.plus, float(t), +1) + half_wave(st.minus, float(t), -1)
-        err = max(err, (res.trajectory.frame(k) - exact).l2_norm())
-    assert err <= 1e-12 * psi0.l2_norm()
+    # no nonlinearity and the empty series both leave the free flow
+    for F in (None, PowerSeriesNonlinearity(2, {})):
+        cfg = SolveConfig(d=1, radius=16, dt=0.02, horizon=1.0, epsilon=1e-3,
+                          nonlinearity=F, monitor_solution_norm=False)
+        res = picard_solve(cfg, psi0)
+        assert res.diagnostics["iterations"] == 1
+        assert res.diagnostics["distances"] == [0.0]
+        err = 0.0
+        for k, t in enumerate(res.trajectory.times):
+            exact = half_wave(st.plus, float(t), +1) + half_wave(st.minus, float(t), -1)
+            err = max(err, (res.trajectory.frame(k) - exact).l2_norm())
+        assert err <= 1e-12 * psi0.l2_norm()
 
 
 def test_cubic_solve_contracts_and_matches_oracle():
@@ -210,6 +190,9 @@ def test_solve_config_rejects_bad_numbers():
                 SolveConfig(**{**good, key: bad})
     with pytest.raises(ValueError, match="max_iterations"):
         SolveConfig(**good, max_iterations=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            SolveConfig(**good, s=bad)
 
 
 def test_data_size_precondition():
@@ -292,9 +275,7 @@ def test_second_order_data_zero_and_consistency(rng):
     # independent oracle: v^ = -i H(xi) psi^ + i beta F^(psi)
     psi0 = gaussian_data(LAT16, 2, 0.01, 0.5, seed=12)
     state = second_order_data(psi0, F, G1, 1.0)
-    from spintorus.nonlinear import evaluate_on_field
-
-    fc = evaluate_on_field(F, psi0).coeffs
+    fc = evaluate_coefficients(F, psi0.coeffs, LAT16)
     expect = np.zeros_like(psi0.coeffs)
     for idx in range(LAT16.shape[0]):
         xi = LAT16.xi[idx]
