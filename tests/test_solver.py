@@ -92,6 +92,12 @@ def _constant_psi_corrections(F, psi_c, m, dt):
     return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
 
 
+def test_duhamel_zero_nonlinearity(rng):
+    F0 = PowerSeriesNonlinearity(2, {})
+    dp, dm = _constant_psi_corrections(F0, random_field(LAT16, 2, rng), 9, 0.05)
+    assert dp.l2_norm() == 0.0 and dm.l2_norm() == 0.0
+
+
 def test_duhamel_constant_integrand_closed_form(rng):
     # psi constant in s: the integral is i (1 - e^{-i t <xi>}) / <xi> G0^
     F = bundled_cubic(2)
