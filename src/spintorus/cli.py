@@ -28,9 +28,8 @@ from .clifford import anticommutator_defect, build_gamma
 from .dyadic import (
     annulus_profile,
     build_cap_cover,
-    build_cube_cover,
     cap_symbols,
-    cube_symbol,
+    cube_partition_sum,
     radial_symbol,
     wide_radial_symbol,
 )
@@ -105,6 +104,13 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_random < 1:
+            raise ValueError(f"n_random must be >= 1, got {self.n_random}")
+        tail = self.tail_ratio
+        if tail is not None and not (math.isfinite(tail) and tail >= 0):
+            raise ValueError(f"tail_ratio must be finite and >= 0, got {tail}")
 
     def radius_for(self, d: int) -> int:
         if self.structural:
@@ -223,11 +229,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         d0 = gammas[d].d0
         err = 0.0
         jmax = max(int(np.ceil(np.log2(np.sqrt(d) * radius))), 1)
+        blocks = [(radial_symbol(lattice, j)[..., None],
+                   wide_radial_symbol(lattice, j + 1)[..., None]) for j in range(jmax)]
         for _ in range(50):
             f = random_field(lattice, d0, rng)
-            for j in range(0, jmax):
-                pj = f.coeffs * radial_symbol(lattice, j)[..., None]
-                wide = pj * wide_radial_symbol(lattice, j + 1)[..., None]
+            for block, wide_block in blocks:
+                pj = f.coeffs * block
+                wide = pj * wide_block
                 err = max(err, float(np.abs(wide - pj).max()))
         checks.append(_check(f"wide_block_absorbs_d{d}", err, 1e-12))
 
@@ -241,10 +249,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 margin = 2**k
                 if margin > radius:  # the boundary margin leaves no interior
                     continue
-                cover = build_cube_cover(lattice, k)
-                tot = np.zeros(lattice.shape)
-                for n in cover.centers:
-                    tot += cube_symbol(cover, n)
+                tot = cube_partition_sum(lattice, k)
                 sl = tuple(slice(margin, 2 * radius + 1 - margin) for _ in range(d))
                 err = max(err, float(np.abs(tot[sl] - 1.0).max()))
             checks.append(_check(f"cube_partition_d{d}", err, 1e-12))

@@ -9,6 +9,7 @@ symbols are bounded by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -215,12 +216,14 @@ class CapCover:
         if self.d == 1:
             signs = np.sign(directions[:, 0])[:, None]
             return (signs == self.centers[None, :, 0]).astype(float)
-        dots = np.clip(directions @ self.centers.T, -1.0, 1.0)
-        dist = np.arccos(dots)
-        x = dist / self.width
-        out = np.zeros_like(x)
+        dots = directions @ self.centers.T
+        out = np.zeros_like(dots)
+        # arccos(dot) < width only where dot > cos(width); the margin absorbs
+        # the rounding of arccos and cos, so the x < 1 test below decides.
+        near = np.nonzero(dots > np.cos(self.width) - 1e-12)
+        x = np.arccos(np.clip(dots[near], -1.0, 1.0)) / self.width
         inside = x < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+        out[tuple(a[inside] for a in near)] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
         return out
 
     def weights(self, directions: np.ndarray) -> np.ndarray:
@@ -272,12 +275,9 @@ def build_cap_cover(d: int, scale: int) -> CapCover:
     subdivisions = max(0, int(np.ceil(np.log2(edge / delta))))
     for _ in range(subdivisions):
         verts, faces = _subdivide(verts, faces)
-    edge_arcs = []
-    for a, b, c in faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            edge_arcs.append(
-                np.arccos(np.clip(np.dot(verts[i], verts[j]), -1.0, 1.0))
-            )
+    corners = verts[np.array(faces)]  # (n_faces, 3, d)
+    ends = np.roll(corners, -1, axis=1)  # edges (a, b), (b, c), (c, a)
+    edge_arcs = np.arccos(np.clip(np.sum(corners * ends, axis=-1), -1.0, 1.0))
     e_min, e_max = float(np.min(edge_arcs)), float(np.max(edge_arcs))
     width = max(0.604 * e_max, min(0.75 * delta, 0.85 * e_min))
     cover = CapCover(d, scale, verts, width)
@@ -364,13 +364,18 @@ class CubeCover:
         return self.centers.shape[0]
 
 
-def build_cube_cover(lattice: FrequencyLattice, k: int) -> CubeCover:
-    """Centers 2^k Z^d intersected with the lattice box."""
+def _cube_axis(lattice: FrequencyLattice, k: int) -> np.ndarray:
+    """Per-axis centre coordinates: the multiples of 2^k inside [-N, N]."""
     if k < 0:
         raise ValueError("cube scale must be >= 0")
     step = 2**k
     nmax = (lattice.radius // step) * step
-    axis = np.arange(-nmax, nmax + 1, step)
+    return np.arange(-nmax, nmax + 1, step)
+
+
+def build_cube_cover(lattice: FrequencyLattice, k: int) -> CubeCover:
+    """Centers 2^k Z^d intersected with the lattice box."""
+    axis = _cube_axis(lattice, k)
     grids = np.meshgrid(*([axis] * lattice.d), indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1)
     return CubeCover(lattice, k, centers)
@@ -385,3 +390,15 @@ def cube_symbol(cover: CubeCover, center) -> np.ndarray:
     for j in range(lattice.d):
         sym = sym * normalized_bump_1d((lattice.xi[..., j] - center[j]) / scale)
     return sym
+
+
+def cube_partition_sum(lattice: FrequencyLattice, k: int) -> np.ndarray:
+    """Sum of cube_symbol over every centre of build_cube_cover(lattice, k).
+
+    Each symbol is a product of 1-d bumps and the centres form a Cartesian
+    grid, so the sum is the outer product of d equal per-axis sums.
+    """
+    xi = np.arange(-lattice.radius, lattice.radius + 1, dtype=float)
+    shifts = (xi[:, None] - _cube_axis(lattice, k)[None, :]) / float(2**k)
+    axis_sum = normalized_bump_1d(shifts).sum(axis=1)
+    return reduce(np.multiply.outer, [axis_sum] * lattice.d)

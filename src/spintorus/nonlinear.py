@@ -66,7 +66,8 @@ class PowerSeriesNonlinearity:
 def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
     """Parse the JSON form: either a plain list of {p, c} records or an
     object {"terms": [...], "tail_ratio": r} for declared-tail families.
-    Raises ValueError on a coefficient or tail ratio that is not finite."""
+    Raises ValueError on a coefficient that is not finite or a tail ratio
+    that is not finite and >= 0."""
     tail = None
     if isinstance(obj, dict):
         tail = obj.get("tail_ratio")
@@ -75,8 +76,8 @@ def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
         records = obj
     if not isinstance(records, list) or not records:
         raise ValueError("nonlinearity file must contain a nonempty term list")
-    if tail is not None and not math.isfinite(tail):
-        raise ValueError(f"tail_ratio must be finite, got {tail}")
+    if tail is not None and not (math.isfinite(tail) and tail >= 0):
+        raise ValueError(f"tail_ratio must be finite and >= 0, got {tail}")
     d0 = len(records[0]["p"])
     terms = {}
     for rec in records:

@@ -123,17 +123,19 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def coefficient(self, xi) -> np.ndarray:
-        """Coefficient vector at one lattice point."""
+    def _index(self, xi) -> tuple[int, ...]:
         idx = tuple(int(x) + self.lattice.radius for x in xi)
         for i in idx:
             if i < 0 or i >= 2 * self.lattice.radius + 1:
                 raise ValueError(f"frequency {xi} outside the lattice")
-        return self.coeffs[idx]
+        return idx
+
+    def coefficient(self, xi) -> np.ndarray:
+        """Coefficient vector at one lattice point."""
+        return self.coeffs[self._index(xi)]
 
     def set_coefficient(self, xi, value) -> None:
-        idx = tuple(int(x) + self.lattice.radius for x in xi)
-        self.coeffs[idx] = value
+        self.coeffs[self._index(xi)] = value
 
 
 def _check_compatible(a: SpinorField, b: SpinorField) -> None:

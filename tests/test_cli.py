@@ -59,6 +59,25 @@ def test_verify_at_radius_one(tmp_path, flags):
     assert _read_report(out)["passed"] is True
 
 
+def test_verify_report_checks_are_pinned(tmp_path):
+    out = str(tmp_path / "v0")
+    assert main(["verify", "--dims", "1", "2", "3", "--seed", "0", "--out", out]) == EXIT_OK
+    checks = _read_report(out)["checks"]
+    names = [f"{kind}_d{d}" for d in (1, 2, 3) for kind in ("clifford_defect", "projector_identities")]
+    names.append("dyadic_telescoping")
+    for d in (1, 2, 3):
+        names += [f"{kind}_d{d}" for kind in ("wide_block_absorbs", "cube_partition",
+                                               "cap_partition", "bernstein", "half_wave_unitarity")]
+    names.append("free_flow_exactness")
+    assert [f"{c['name']}:{c['status']}" for c in checks] == [f"{n}:pass" for n in names]
+    # the deterministic scan: max |xi_i| / 2^j = 8 at order 1, so 8^(1/2)
+    assert [c["c_meas"] for c in checks if "c_meas" in c] == [2.8284271247461903] * 3
+
+
+def test_verify_dims_nine(tmp_path):
+    assert main(["verify", "--dims", "9", "--out", str(tmp_path / "v9")]) == EXIT_OK
+
+
 def test_verify_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -217,6 +236,11 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["audit", "--constant", "-1"]) == EXIT_USAGE
     assert main(["audit", "--constant", "0"]) == EXIT_USAGE
     assert main(["audit", "--lattice-radius", "1"]) == EXIT_USAGE  # no annulus to measure
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    assert main(["verify", "--n-random", "-3"]) == EXIT_USAGE
+    assert main(["verify", "--n-random", "0"]) == EXIT_USAGE
+    assert main(["audit", "--tail-ratio", "nan", "--constant", "2"]) == EXIT_USAGE
+    assert main(["audit", "--tail-ratio", "-5", "--constant", "2"]) == EXIT_USAGE
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "nan_s.json"
     config.write_text('{"s": NaN}')

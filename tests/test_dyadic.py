@@ -3,11 +3,14 @@ import pytest
 
 from spintorus.dyadic import (
     CAP_OVERLAP_BOUND,
+    _circle_directions,
+    _fibonacci_directions,
     annulus_profile,
     build_cap_cover,
     build_cube_cover,
     cap_symbols,
     covering_scale_range,
+    cube_partition_sum,
     cube_symbol,
     lowpass_profile,
     modulation_block,
@@ -258,6 +261,19 @@ def test_cover_overlap_bound(rng):
         assert counts.max() <= CAP_OVERLAP_BOUND
 
 
+@pytest.mark.parametrize("d,sample", [(2, _circle_directions(4096)),
+                                      (3, _fibonacci_directions(8192))])
+def test_raw_weights_match_full_arccos_formula(d, sample):
+    # the weights evaluate arccos only near each cap; the values must not move
+    for l in (0, 1, 2):
+        cover = build_cap_cover(d, l)
+        x = np.arccos(np.clip(sample @ cover.centers.T, -1.0, 1.0)) / cover.width
+        expected = np.zeros_like(x)
+        inside = x < 1.0
+        expected[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+        assert np.array_equal(cover.raw_weights(sample), expected)
+
+
 def test_caps_error_above_three_dimensions():
     with pytest.raises(ValueError):
         build_cap_cover(4, 1)
@@ -314,6 +330,15 @@ def test_cube_partition_interior(rng):
             for n in cov.centers:
                 acc += _times(f, cube_symbol(cov, n)).coeffs
             assert np.abs(acc - f.coeffs).max() <= 1e-12 * max(np.abs(f.coeffs).max(), 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1])
+def test_cube_partition_sum_matches_symbol_sum(d, k):
+    lat = FrequencyLattice(d, 5)
+    cov = build_cube_cover(lat, k)
+    expected = sum(cube_symbol(cov, n) for n in cov.centers)
+    np.testing.assert_allclose(cube_partition_sum(lat, k), expected, rtol=0, atol=1e-15)
 
 
 def test_unit_cubes_are_disjoint_on_integers():

@@ -438,6 +438,8 @@ def test_load_rejects_non_finite_values():
                 load_nonlinearity([{"p": [3, 0], "c": c}])
         with pytest.raises(ValueError, match="tail_ratio"):
             load_nonlinearity({"terms": good, "tail_ratio": bad})
+    with pytest.raises(ValueError, match="tail_ratio"):
+        load_nonlinearity({"terms": good, "tail_ratio": -0.5})
     # a NaN written by json.dump is read back as NaN, and still rejected
     with pytest.raises(ValueError, match="non-finite"):
         load_nonlinearity(json.loads('[{"p": [3, 0], "c": [[NaN, 0], [0, 0]]}]'))

@@ -6,8 +6,7 @@ import pytest
 from spintorus.clifford import build_gamma
 from spintorus.dyadic import radial_scale_range, radial_symbol
 from spintorus.norms import (
-    annulus_energy_fraction,
-    bernstein_ratio,
+    bernstein_ratios,
     besov_norm,
     block_norm,
     measure_bernstein_constant,
@@ -23,6 +22,7 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    derivative_monomial,
     japanese_bracket,
     plane_wave,
     random_field,
@@ -361,19 +361,36 @@ def test_bernstein_plane_wave_values():
     lat = FrequencyLattice(2, 16)
     j = 2
     pw = plane_wave(lat, 1, [2 ** (j + 1), 0], [1.0])
-    for alpha, expected in [((1, 0), 2.0), ((2, 0), 4.0), ((3, 0), 8.0)]:
-        r = bernstein_ratio(pw, j, alpha)
+    alphas = [(1, 0), (2, 0), (3, 0), (0, 0)]
+    (ratios,) = bernstein_ratios(pw.coeffs[None], lat, j, alphas)
+    for alpha, r, expected in zip(alphas, ratios, [2.0, 4.0, 8.0, 1.0]):
         assert r == pytest.approx(expected, rel=1e-12)
         assert r <= 4.0 ** sum(alpha)
-    assert bernstein_ratio(pw, j, (0, 0)) == pytest.approx(1.0)
 
 
 def test_bernstein_rejects_delocalised():
     lat = FrequencyLattice(1, 8)
     pw = plane_wave(lat, 1, [1], [1.0])
-    with pytest.raises(ValueError):
-        bernstein_ratio(pw, 2, (1,))
-    assert annulus_energy_fraction(pw, 0) == 0.0
+    with pytest.raises(ValueError, match="not localised"):
+        bernstein_ratios(pw.coeffs[None], lat, 2, [(1,)])
+    # the same mode lies on the scale-0 annulus 1 <= |xi| <= 4
+    assert bernstein_ratios(pw.coeffs[None], lat, 0, [(1,)])[0, 0] == 1.0
+    with pytest.raises(ValueError, match="zero field"):
+        bernstein_ratios(np.zeros((1, 17, 1)), lat, 0, [(1,)])
+
+
+@pytest.mark.parametrize("d,radius,j", [(1, 16, 2), (2, 8, 1), (3, 4, 0)])
+def test_bernstein_ratios_match_per_field_definition(rng, d, radius, j):
+    lat = FrequencyLattice(d, radius)
+    fields = [random_field(lat, 2, rng, annulus=(2.0**j, 2.0 ** (j + 2)))
+              for _ in range(5)]
+    alphas = [a for order in (1, 2, 3) for a in multi_indices(d, order)]
+    ratios = bernstein_ratios(np.array([f.coeffs for f in fields]), lat, j, alphas)
+    for f, row in zip(fields, ratios):
+        for alpha, r in zip(alphas, row):
+            expected = derivative_monomial(f, alpha).l2_norm() / (
+                2.0 ** (sum(alpha) * j) * f.l2_norm())
+            assert r == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_bernstein_scan_stable_across_seeds():

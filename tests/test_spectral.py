@@ -142,6 +142,16 @@ def test_plancherel_quadrature(rng):
     assert abs(quad - f.l2_norm() ** 2) <= 1e-10 * max(1.0, f.l2_norm() ** 2)
 
 
+def test_coefficient_access_rejects_frequency_outside_lattice():
+    lat = FrequencyLattice(1, 4)
+    for xi in ([-5], [5]):
+        with pytest.raises(ValueError, match="outside the lattice"):
+            plane_wave(lat, 2, xi, [1.0, 0.0])
+        with pytest.raises(ValueError, match="outside the lattice"):
+            SpinorField.zeros(lat, 2).coefficient(xi)
+    assert plane_wave(lat, 2, [-4], [1.0, 0.0]).coefficient([-4])[0] == 1.0
+
+
 def test_multiplier_identity_and_bracket(rng):
     lat = FrequencyLattice(2, 4)
     f = random_field(lat, 2, rng)

@@ -24,6 +24,8 @@ KEPT = {
     "norms.block_norm":
         "one solution-space block by its definition; a reference in the solution-norm tests",
     "solver.kg_energy": "energy of the linear Klein-Gordon flow, whose conservation is tested",
+    "spectral.derivative_monomial":
+        "a field's derivative by its definition; the reference for the batched Bernstein ratios",
     "spectral.forward_fourier": "field-level transform that tests sample and check fields with",
     "spectral.inverse_fourier": "field-level transform that tests sample and check fields with",
     "spectral.plane_wave": "test constructor of single-mode fields",
