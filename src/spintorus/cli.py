@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class RunConfig:
     lattice_radius: int | None = None
     seed: int = 0
     out: str = "runs/latest"
-    dims: tuple = (1, 2, 3)
+    dims: tuple[int, ...] = (1, 2, 3)
     structural: bool = False
     n_random: int = 128
     dt: float = 1.0 / 256.0
@@ -106,6 +107,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if len(set(self.dims)) != len(self.dims):
+            raise ValueError(f"dims must not repeat a dimension, got {list(self.dims)}")
         if self.n_random < 1:
             raise ValueError(f"n_random must be >= 1, got {self.n_random}")
         tail = self.tail_ratio
@@ -120,23 +123,39 @@ class RunConfig:
         return _DEFAULT_RADIUS.get(d, 1)
 
 
+def _has_type(value, tp) -> bool:
+    """JSON-level type check: an int is a float, a bool is neither."""
+    if get_origin(tp) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(v, get_args(tp)[0]) for v in value))
+    if get_args(tp):  # X | None
+        return any(_has_type(value, t) for t in get_args(tp))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
+    declared = {f.name: f.type for f in fields(RunConfig)}  # annotation strings
     data: dict = {}
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(raw) - known
+        unknown = set(raw) - set(declared)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data.update(raw)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
+    hints = get_type_hints(RunConfig)
+    for key, value in data.items():
+        if not _has_type(value, hints[key]):
+            raise TypeError(f"{key} must be of type {declared[key]}, got {value!r}")
     if "dims" in data:
-        data["dims"] = tuple(int(x) for x in data["dims"])
+        data["dims"] = tuple(data["dims"])
     return RunConfig(**data)
 
 

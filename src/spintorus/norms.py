@@ -314,7 +314,8 @@ def measure_bernstein_constant(
     violations = 0
     worst_ratio = 0.0
     d0 = 1
-    per_scale = max(1, n_random // max(1, len(scales)))
+    # n_random = 0 draws nothing: only the deterministic c_meas is wanted
+    per_scale = max(1, n_random // max(1, len(scales))) if n_random > 0 else 0
     alphas = [alpha for order in range(1, max_order + 1)
               for alpha in multi_indices(lattice.d, order)]
     bound = 4.0 ** np.array([sum(alpha) for alpha in alphas])

@@ -253,3 +253,14 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["solve", "--nonlinearity", str(series)] + out) == EXIT_USAGE
     assert main(["audit", "--nonlinearity", str(series), "--constant", "2"]
                 + out) == EXIT_USAGE
+    assert main(["verify", "--dims", "1", "1"] + out) == EXIT_USAGE
+    for command, bad in (("verify", '{"lattice_radius": 2.5}'),
+                         ("verify", '{"seed": 1.5}'),
+                         ("verify", '{"structural": "no"}'),
+                         ("verify", '{"dims": [1, 2.0]}'),
+                         ("verify", '{"dims": [1, 1]}'),
+                         ("solve", '{"max_iterations": 2.5}'),
+                         ("solve", '{"epsilon": true}'),
+                         ("solve", '{"nonlinearity": 3}')):
+        config.write_text(bad)
+        assert main([command, "--config", str(config)] + out) == EXIT_USAGE, bad

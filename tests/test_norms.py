@@ -431,3 +431,17 @@ def test_probe_scaling_invariance():
     r1 = projector_bound_probe(g, trs)["max_ratio"]
     r2 = projector_bound_probe(g, [7.0 * t for t in trs])["max_ratio"]
     assert r1 == pytest.approx(r2, rel=1e-12)
+
+
+def test_bernstein_without_random_fields_draws_none(monkeypatch):
+    import spintorus.norms as norms_mod
+
+    calls = []
+    draw = norms_mod.random_field
+    monkeypatch.setattr(norms_mod, "random_field",
+                        lambda *a, **k: calls.append(1) or draw(*a, **k))
+    lat = FrequencyLattice(2, 8)
+    bare = measure_bernstein_constant(lat, max_order=3, n_random=0, seed=0)
+    assert calls == [] and bare["violations"] == 0
+    full = measure_bernstein_constant(lat, max_order=3, n_random=60, seed=0)
+    assert calls and bare["c_meas"] == full["c_meas"]
