@@ -107,6 +107,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.out:
+            raise ValueError("out must name a directory, got an empty path")
+        if not self.dims:
+            raise ValueError("dims must name at least one dimension")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError(f"dims must not repeat a dimension, got {list(self.dims)}")
         if self.n_random < 1:

@@ -45,6 +45,15 @@ class PowerSeriesNonlinearity:
         self.terms = clean
         if self.vanishes_at_zero and (0,) * self.d0 in self.terms:
             raise ValueError("constant term present but the series must vanish at 0")
+        # the support evaluate and jacobian work from: per term, its
+        # (component, exponent) factors and its (a, c_a) pairs with c_a != 0
+        self._support = [
+            ([(k, e) for k, e in enumerate(p) if e],
+             [(a, c[a]) for a in np.flatnonzero(c)])
+            for p, c in self.terms.items()
+        ]
+        self._top = max((e for factors, _ in self._support for _, e in factors),
+                        default=0)
 
     @property
     def max_degree(self) -> int:
@@ -143,47 +152,41 @@ BUNDLED = {"cubic": bundled_cubic, "geometric": bundled_geometric}
 # evaluation
 
 
-def _power_table(values: np.ndarray, max_exponents) -> list:
-    """values[..., k] raised to 1..max_exponents[k], cached per component;
-    entry e of table k is the e-th power.  Entry 0 is None: callers skip
-    exponent 0, so no all-ones array is built."""
-    tables = []
-    for k, top in enumerate(max_exponents):
-        col = values[..., k]
-        powers = [None, col]
-        for _ in range(top - 1):
-            powers.append(powers[-1] * col)
-        tables.append(powers)
-    return tables
+def _powers(psi: np.ndarray, top: int) -> list:
+    """psi, psi*psi, ... up to the ``top``-th power on the whole array; entry
+    e is the e-th power.  Entry 0 is None: monomials skip exponent 0, so no
+    all-ones array is built."""
+    powers = [None, psi]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * psi)
+    return powers
+
+
+def _monomial(powers: list, factors, scale=None):
+    """Product of the (component, exponent) factors read from ``powers``,
+    times ``scale`` when given; None for a constant monomial."""
+    mono = scale
+    for k, e in factors:
+        mono = powers[e][..., k] if mono is None else mono * powers[e][..., k]
+    return mono
 
 
 def evaluate(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     """F at one or many spinor values; trailing axis is the component axis.
 
-    Uses cached component powers (each power computed once and reused across
-    monomials) rather than re-expanding every monomial from scratch.
+    Each power of psi is formed once and every monomial is read from it;
+    a monomial is added only to the components where its coefficient is
+    nonzero.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1] != F.d0:
         raise ValueError("value has the wrong number of spinor components")
     out = np.zeros(psi.shape, dtype=np.complex128)
-    if F.is_zero():
-        return out
-    tops = [0] * F.d0
-    for p in F.terms:
-        for k in range(F.d0):
-            tops[k] = max(tops[k], p[k])
-    tables = _power_table(psi, tops)
-    for p, c in F.terms.items():
-        mono = None
-        for k, e in enumerate(p):
-            if e == 0:
-                continue
-            mono = tables[k][e] if mono is None else mono * tables[k][e]
-        if mono is None:  # constant term (only without the vanishing flag)
-            out += c
-        else:
-            out += mono[..., None] * c
+    powers = _powers(psi, F._top)
+    for factors, coeffs in F._support:
+        mono = _monomial(powers, factors)
+        for a, c in coeffs:
+            out[..., a] += c if mono is None else c * mono  # None: constant term
     return out
 
 
@@ -191,23 +194,14 @@ def jacobian(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     """Jacobian dF_a/dpsi_b at one or many values, shape (..., d0, d0)."""
     psi = np.asarray(psi, dtype=np.complex128)
     out = np.zeros(psi.shape + (F.d0,), dtype=np.complex128)
-    if F.is_zero():
-        return out
-    tops = [0] * F.d0
-    for p in F.terms:
-        for k in range(F.d0):
-            tops[k] = max(tops[k], p[k])
-    tables = _power_table(psi, tops)
-    for p, c in F.terms.items():
-        for b in range(F.d0):
-            if p[b] == 0:
-                continue
-            mono = np.full(psi.shape[:-1], float(p[b]), dtype=np.complex128)
-            for k, e in enumerate(p):
-                ee = e - 1 if k == b else e
-                if ee:
-                    mono = mono * tables[k][ee]
-            out[..., b] += mono[..., None] * c
+    powers = _powers(psi, F._top)
+    for factors, coeffs in F._support:
+        for b, eb in factors:
+            # d/dpsi_b lowers the factor psi_b^eb by one (drops it at eb = 1)
+            lowered = [(k, e - (k == b)) for k, e in factors if (k, e) != (b, 1)]
+            mono = _monomial(powers, lowered, float(eb))
+            for a, c in coeffs:
+                out[..., a, b] += c * mono
     return out
 
 

@@ -34,6 +34,7 @@ from .spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    apply_matrices,
     from_grid,
     project_dirac,
     projector_multiplier,
@@ -142,10 +143,6 @@ def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _apply_matrix(mult, frames: np.ndarray) -> np.ndarray:
-    return np.einsum("...ab,k...b->k...a", mult.values, frames)
-
-
 def _phases(times: np.ndarray, lattice: FrequencyLattice) -> dict:
     """e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape; each
     sign's table is the complex conjugate of the other's."""
@@ -159,9 +156,8 @@ def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
     ``total`` holds psi on the frames and ``proj_plus`` is Pi_+."""
-    fhat = np.einsum("ab,k...b->k...a", g.beta,
-                     evaluate_coefficients(F, total, proj_plus.lattice))
-    plus = _apply_matrix(proj_plus, fhat)
+    fhat = evaluate_coefficients(F, total, proj_plus.lattice) @ g.beta.T
+    plus = apply_matrices(proj_plus.values, fhat)
     fhat -= plus  # Pi_- = 1 - Pi_+
     out = {}
     for s, integrand in ((+1, plus), (-1, fhat)):
@@ -249,10 +245,10 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     # residual under one more application of the map
     diagnostics["duhamel_residual"] = _sup_frame_norm(duhamel_map(psi) - psi) / scale
     # branch-range defects: each branch must stay in its projector's range
-    plus = _apply_matrix(proj[+1], psi)
+    plus = apply_matrices(proj[+1].values, psi)
     branches = {+1: plus, -1: psi - plus}
     diagnostics["projector_range_defect"] = max(
-        _sup_frame_norm(_apply_matrix(proj[-s], branches[s])) / scale
+        _sup_frame_norm(apply_matrices(proj[-s].values, branches[s])) / scale
         for s in (+1, -1)
     )
     if cfg.monitor_solution_norm:
@@ -266,10 +262,6 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
 
 # ---------------------------------------------------------------------------
 # independent method-of-lines integrator (oracle)
-
-
-def _apply(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ab,...b->...a", mats, v)
 
 
 def evolve_dirac_rk4(
@@ -300,17 +292,18 @@ def evolve_dirac_rk4(
                                    for u in (np.eye(g.d0), half, full))
 
     def stage(u, back, v):
-        return _apply(back, evaluate_coefficients(F, _apply(u, v), lattice))
+        fv = evaluate_coefficients(F, apply_matrices(u, v), lattice)
+        return apply_matrices(back, fv)
 
     w = psi0.coeffs
     for k in range(1, n_frames):
         if F is not None and not F.is_zero():
-            k1 = _apply(back0, evaluate_coefficients(F, w, lattice))
+            k1 = apply_matrices(back0, evaluate_coefficients(F, w, lattice))
             k2 = stage(half, back_half, w + 0.5 * dt * k1)
             k3 = stage(half, back_half, w + 0.5 * dt * k2)
             k4 = stage(full, back_full, w + dt * k3)
             w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w = _apply(full, w)
+        w = apply_matrices(full, w)
         frames[k] = w
     return Trajectory(lattice, g.d0, times, frames)
 

@@ -13,7 +13,11 @@ Conventions (used consistently across the package):
 * L^q norms on the torus use the normalised measure dx/(2pi)^d.
 * ``to_grid`` / ``from_grid`` are the one place where coefficients are placed
   on (and truncated from) a padded spatial grid and where the FFT backend is
-  chosen; every other module goes through them.
+  chosen; every other module goes through them.  Both work one spatial axis
+  at a time with 1-D FFTs: ``to_grid`` pads an axis and transforms only the
+  lines the coefficient box still spans, ``from_grid`` transforms an axis and
+  keeps only the lattice rows before the next, so no FFT runs over a line
+  that is known to be zero or is thrown away (a pruned FFT).
 """
 
 from __future__ import annotations
@@ -171,29 +175,34 @@ def random_field(
 # transforms
 
 
-@lru_cache(maxsize=64)
-def _placement(shape: tuple[int, ...], grid: int) -> tuple[np.ndarray, ...]:
-    """Grid indices of a coefficient box: index i of an axis of length n sits
-    at frequency i - n//2 (for a lattice axis, n = 2N+1, that is i - N)."""
-    if max(shape) > grid:
-        raise ValueError(f"grid with {grid} points per axis aliases a {shape} box")
-    index = np.ix_(*[(np.arange(n) - n // 2) % grid for n in shape])
-    for a in index:
-        a.flags.writeable = False
-    return index
+def _span(ax: int, start: int, stop: int) -> tuple:
+    """Index of the slice start:stop along the negative axis ``ax``."""
+    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-ax - 1)
 
 
 def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
     """Coefficients -> field values on the uniform grid of ``grid``^d points.
 
-    ``coeffs`` has shape batch + box + (d0,) with d box axes, placed by
-    ``_placement``; any number of leading batch axes is transformed at once.
+    ``coeffs`` has shape batch + box + (d0,) with d box axes; index i of a box
+    axis of length n sits at frequency i - n//2.  Any number of leading batch
+    axes is transformed at once.  The axes are padded and transformed one at
+    a time, so each 1-D transform runs only over the lines that the box still
+    spans on the axes not yet transformed.
     """
-    spec = np.zeros(coeffs.shape[: -d - 1] + (grid,) * d + coeffs.shape[-1:],
-                    dtype=np.complex128)
-    index = _placement(coeffs.shape[-d - 1 : -1], grid)
-    spec[(Ellipsis,) + index + (slice(None),)] = coeffs
-    return np.fft.ifftn(spec, axes=tuple(range(-d - 1, -1)), norm="forward")
+    if max(coeffs.shape[-d - 1 : -1]) > grid:
+        raise ValueError(f"grid with {grid} points per axis aliases a "
+                         f"{coeffs.shape[-d - 1 : -1]} box")
+    values = coeffs
+    for ax in range(-2, -d - 2, -1):
+        n = values.shape[ax]
+        h = n // 2
+        spec = np.zeros(values.shape[:ax] + (grid,) + values.shape[ax + 1 :],
+                        dtype=np.complex128)
+        # frequencies 0..n-h-1 at the start of the axis, -h..-1 at its end
+        spec[_span(ax, 0, n - h)] = values[_span(ax, h, n)]
+        spec[_span(ax, grid - h, grid)] = values[_span(ax, 0, h)]
+        values = np.fft.ifft(spec, axis=ax, norm="forward")
+    return values
 
 
 def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
@@ -201,11 +210,20 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     lattice (the inverse of ``to_grid`` on band-limited fields).
 
     ``values`` has shape batch + (grid,)*d + (d0,); the batch axes are kept.
+    Each axis is transformed and cut to the lattice rows before the next, so
+    later transforms run only over lattice lines.
     """
-    grid = values.shape[-2]
-    spec = np.fft.fftn(values, axes=tuple(range(-d - 1, -1)), norm="forward")
-    index = _placement((2 * radius + 1,) * d, grid)
-    return np.ascontiguousarray(spec[(Ellipsis,) + index + (slice(None),)])
+    n = 2 * radius + 1
+    if values.shape[-2] < n:
+        raise ValueError(f"grid with {values.shape[-2]} points per axis aliases "
+                         f"a radius-{radius} lattice")
+    coeffs = values
+    for ax in range(-2, -d - 2, -1):
+        grid = coeffs.shape[ax]
+        spec = np.fft.fft(coeffs, axis=ax, norm="forward")
+        coeffs = np.concatenate((spec[_span(ax, grid - radius, grid)],
+                                 spec[_span(ax, 0, n - radius)]), axis=ax)
+    return coeffs
 
 
 def grid_lq_norms(coeffs: np.ndarray, d: int, q: float, grid: int) -> np.ndarray:
@@ -285,8 +303,13 @@ def apply_multiplier(m: Multiplier, f: SpinorField) -> SpinorField:
         return SpinorField(f.lattice, f.d0, f.coeffs * m.values[..., None])
     if m.values.shape[-1] != f.d0:
         raise ValueError("matrix symbol order does not match the spinor dimension")
-    out = np.einsum("...ab,...b->...a", m.values, f.coeffs)
-    return SpinorField(f.lattice, f.d0, out)
+    return SpinorField(f.lattice, f.d0, apply_matrices(m.values, f.coeffs))
+
+
+def apply_matrices(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-point matrix-vector products values[..., :, :] x[..., :]; leading
+    axes broadcast, so one matrix per xi applies to every frame of a batch."""
+    return (values @ x[..., None])[..., 0]
 
 
 def derivative_monomial(f: SpinorField, alpha) -> SpinorField:

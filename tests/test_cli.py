@@ -254,11 +254,16 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["audit", "--nonlinearity", str(series), "--constant", "2"]
                 + out) == EXIT_USAGE
     assert main(["verify", "--dims", "1", "1"] + out) == EXIT_USAGE
+    for command in ("verify", "solve", "compare-kg", "audit"):
+        assert main([command, "--out", ""]) == EXIT_USAGE, command
+    config.write_text('{"out": ""}')
+    assert main(["audit", "--config", str(config)]) == EXIT_USAGE
     for command, bad in (("verify", '{"lattice_radius": 2.5}'),
                          ("verify", '{"seed": 1.5}'),
                          ("verify", '{"structural": "no"}'),
                          ("verify", '{"dims": [1, 2.0]}'),
                          ("verify", '{"dims": [1, 1]}'),
+                         ("verify", '{"dims": []}'),
                          ("solve", '{"max_iterations": 2.5}'),
                          ("solve", '{"epsilon": true}'),
                          ("solve", '{"nonlinearity": 3}')):

@@ -47,14 +47,17 @@ def _random_series(rng, d0=2, max_degree=3, n_terms=5):
 
 
 def naive_evaluate(F, psi):
-    """Oracle: expand every monomial from scratch, no shared powers."""
-    psi = np.asarray(psi)
-    out = np.zeros(F.d0, dtype=complex)
+    """Oracle on one value or whole arrays: every monomial by repeated
+    multiplication, no shared powers, added to the full coefficient vector
+    with its zero entries."""
+    psi = np.asarray(psi, dtype=complex)
+    out = np.zeros(psi.shape, dtype=complex)
     for p, c in F.terms.items():
-        mono = 1.0 + 0.0j
+        mono = np.ones(psi.shape[:-1], dtype=complex)
         for k, e in enumerate(p):
-            mono *= psi[k] ** e
-        out += mono * c
+            for _ in range(e):
+                mono = mono * psi[..., k]
+        out += mono[..., None] * c
     return out
 
 
@@ -82,6 +85,59 @@ def test_factorized_matches_naive(rng):
         fast = evaluate(F, psi)
         slow = naive_evaluate(F, psi)
         assert np.abs(fast - slow).max() <= 1e-14 * max(1.0, np.abs(slow).max())
+
+
+def naive_jacobian(F, psi):
+    """Oracle: dF_a/dpsi_b monomial by monomial, p_b psi^(p - e_b) c_a."""
+    out = np.zeros(psi.shape + (F.d0,), dtype=complex)
+    for p, c in F.terms.items():
+        for b in range(F.d0):
+            if p[b]:
+                mono = np.full(psi.shape[:-1], float(p[b]), dtype=complex)
+                for k, e in enumerate(p):
+                    for _ in range(e - (k == b)):
+                        mono = mono * psi[..., k]
+                out[..., b] += mono[..., None] * c
+    return out
+
+
+def _one_hot(d0, a, value=1.0):
+    c = np.zeros(d0, dtype=complex)
+    c[a] = value
+    return c
+
+
+def _series_cases(rng):
+    dense = _random_series(rng, d0=3, max_degree=3, n_terms=8)
+    one_hot = PowerSeriesNonlinearity(
+        3, {(0, 2, 1): _one_hot(3, 0, 0.5 - 1j), (3, 0, 0): _one_hot(3, 2, 2.0),
+            (0, 0, 1): _one_hot(3, 1, -1.0)})
+    mixed = PowerSeriesNonlinearity(
+        3, {(1, 1, 1): np.array([1.0, 0.0, 2j]), (2, 1, 0): np.array([0.0, -1.0, 0.0]),
+            (0, 1, 2): rng.standard_normal(3) + 1j * rng.standard_normal(3)})
+    constant = PowerSeriesNonlinearity(
+        3, {(0, 0, 0): np.array([1.0, 0.0, -2j]), (1, 0, 2): _one_hot(3, 1)},
+        vanishes_at_zero=False)
+    empty = PowerSeriesNonlinearity(3, {})
+    return {"dense": dense, "one-hot": one_hot, "mixed": mixed,
+            "constant": constant, "empty": empty, "cubic": bundled_cubic(3, 0.7)}
+
+
+@pytest.mark.parametrize("case", ["dense", "one-hot", "mixed", "constant", "empty", "cubic"])
+@pytest.mark.parametrize("shape", [(3,), (11, 3), (2, 5, 4, 3)])
+def test_evaluate_and_jacobian_match_naive_sums(rng, case, shape):
+    F = _series_cases(rng)[case]
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for fast, slow in ((evaluate(F, psi), naive_evaluate(F, psi)),
+                       (jacobian(F, psi), naive_jacobian(F, psi))):
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() <= 1e-14 * max(1.0, np.abs(slow).max())
+
+
+def test_evaluate_bundled_cubic_bit_equal_on_33_cube(rng):
+    F = bundled_cubic(4)
+    psi = rng.standard_normal((33, 33, 33, 4)) + 1j * rng.standard_normal((33, 33, 33, 4))
+    assert np.array_equal(evaluate(F, psi), naive_evaluate(F, psi))
 
 
 def test_jacobian_matches_finite_differences(rng):

@@ -12,6 +12,7 @@ from spintorus.spectral import (
     Multiplier,
     SpinorField,
     Trajectory,
+    apply_matrices,
     apply_multiplier,
     derivative_monomial,
     forward_fourier,
@@ -120,15 +121,94 @@ def test_to_grid_places_boxes_at_centred_offsets(rng, box_shape):
 def test_to_grid_rejects_box_wider_than_grid():
     with pytest.raises(ValueError, match="alias"):
         to_grid(np.zeros((2, 7, 1), dtype=complex), 1, 6)
+    with pytest.raises(ValueError, match="alias"):
+        to_grid(np.zeros((5, 7, 5, 2), dtype=complex), 3, 6)
+    with pytest.raises(ValueError, match="alias"):
+        from_grid(np.zeros((2, 6, 6, 1), dtype=complex), 2, 3)
+
+
+def _dense_dft(box_shape, grid):
+    """exp(i x.xi) for every grid point x (rows) and box frequency xi
+    (columns), with xi_i = i - n//2 on a box axis of length n."""
+    axis = 2 * np.pi * np.arange(grid) / grid
+    x = np.stack(np.meshgrid(*[axis] * len(box_shape), indexing="ij"),
+                 axis=-1).reshape(-1, len(box_shape))
+    xi = np.stack(np.meshgrid(*[np.arange(n) - n // 2 for n in box_shape],
+                              indexing="ij"), axis=-1).reshape(-1, len(box_shape))
+    return np.exp(1j * (x @ xi.T))
+
+
+# (batch, box, grid): d = 1, 2, 3; odd boxes and one even; 0, 1 and 2 batch
+# axes; grid equal to the box and larger than it
+TRANSFORM_CASES = [
+    ((), (7,), 7),
+    ((3,), (9,), 20),
+    ((2, 2), (6,), 11),
+    ((), (5, 5), 5),
+    ((2,), (3, 5), 8),
+    ((2, 3), (5, 5, 5), 5),
+    ((3,), (3, 5, 3), 7),
+    ((), (4, 5, 3), 9),
+]
+
+
+@pytest.mark.parametrize("batch, box, grid", TRANSFORM_CASES)
+def test_to_grid_matches_dense_dft(rng, batch, box, grid):
+    d, d0 = len(box), 2
+    coeffs = rng.standard_normal(batch + box + (d0,)) + 1j * rng.standard_normal(batch + box + (d0,))
+    flat = coeffs.reshape(batch + (-1, d0))
+    ref = (_dense_dft(box, grid) @ flat).reshape(batch + (grid,) * d + (d0,))
+    out = to_grid(coeffs, d, grid)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("batch, d, radius, grid", [
+    ((), 1, 3, 7),
+    ((3,), 1, 4, 20),
+    ((2, 2), 2, 2, 5),
+    ((2,), 2, 2, 9),
+    ((2, 3), 3, 2, 5),
+    ((), 3, 1, 8),
+])
+def test_from_grid_matches_dense_dft(rng, batch, d, radius, grid):
+    d0, box = 2, (2 * radius + 1,) * d
+    values = rng.standard_normal(batch + (grid,) * d + (d0,)) + 0.5j
+    flat = values.reshape(batch + (-1, d0))
+    ref = (_dense_dft(box, grid).conj().T @ flat) / grid**d
+    out = from_grid(values, d, radius)
+    assert out.shape == batch + box + (d0,)
+    ref = ref.reshape(out.shape)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    # band-limited values come back exactly: the round trip
+    coeffs = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
+    back = from_grid(to_grid(coeffs, d, grid), d, radius)
+    assert np.abs(back - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+
+
+@pytest.mark.parametrize("mats_shape, x_shape", [
+    ((17, 17, 17, 4, 4), (33, 17, 17, 17, 4)),  # Picard: Pi_+ on every frame
+    ((33, 2, 2), (33, 2)),                        # RK4: U(tau) per xi, d = 1
+    ((2, 2), (33, 2)),                            # RK4: one constant matrix
+])
+def test_apply_matrices_matches_einsum(rng, mats_shape, x_shape):
+    mats = rng.standard_normal(mats_shape) + 1j * rng.standard_normal(mats_shape)
+    x = rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape)
+    ref = np.einsum("...ab,...b->...a", mats, x)
+    out = apply_matrices(mats, x)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_spatial_ffts_only_in_spectral():
-    # the lattice <-> grid placement and the FFT backend live in one module
+    # the lattice <-> grid placement and the FFT backend live in one module;
+    # elsewhere an FFT runs along the frame (time) axis only
     src = pathlib.Path(spintorus.__file__).parent
     offenders = [
-        path.name
-        for path in sorted(src.glob("*.py"))
-        if path.name != "spectral.py" and re.search(r"fftn\(", path.read_text())
+        f"{path.name}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+        for line in path.read_text().splitlines()
+        if re.search(r"fftn?\(", line) and "axis=0)" not in line
     ]
     assert offenders == []
 
