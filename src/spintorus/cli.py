@@ -44,6 +44,7 @@ from .norms import measure_bernstein_constant
 from .spectral import (
     FrequencyLattice,
     japanese_bracket,
+    projector_symbol,
     random_field,
 )
 from .solver import (
@@ -208,8 +209,7 @@ def _projector_identity_error(g, xi) -> float:
     eye = np.eye(g.d0)
     h = g.dirac_symbol(xi)
     br = japanese_bracket(xi)
-    pip = 0.5 * (eye + h / br)
-    pim = 0.5 * (eye - h / br)
+    pip, pim = projector_symbol(g, xi, +1), projector_symbol(g, xi, -1)
     err = np.abs(pip @ pip - pip).max()
     err = max(err, np.abs(pip + pim - eye).max())
     err = max(err, np.abs(pip @ pim).max())

@@ -75,8 +75,9 @@ class PowerSeriesNonlinearity:
 def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
     """Parse the JSON form: either a plain list of {p, c} records or an
     object {"terms": [...], "tail_ratio": r} for declared-tail families.
-    Raises ValueError on a coefficient that is not finite or a tail ratio
-    that is not finite and >= 0."""
+    Raises ValueError on an exponent that is not an integer (a bool, float or
+    string), a coefficient that is not finite or a tail ratio that is a bool
+    or is not finite and >= 0."""
     tail = None
     if isinstance(obj, dict):
         tail = obj.get("tail_ratio")
@@ -85,11 +86,15 @@ def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
         records = obj
     if not isinstance(records, list) or not records:
         raise ValueError("nonlinearity file must contain a nonempty term list")
-    if tail is not None and not (math.isfinite(tail) and tail >= 0):
+    if isinstance(tail, bool) or (tail is not None
+                                  and not (math.isfinite(tail) and tail >= 0)):
         raise ValueError(f"tail_ratio must be finite and >= 0, got {tail}")
     d0 = len(records[0]["p"])
     terms = {}
     for rec in records:
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   for x in rec["p"]):
+            raise ValueError(f"exponents must be integers, got {rec['p']}")
         p = tuple(int(x) for x in rec["p"])
         c = np.array([complex(re, im) for re, im in rec["c"]])
         if not np.isfinite(c).all():

@@ -33,8 +33,9 @@ from .spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    apply_matrices,
     grid_lq_norms,
-    project_dirac,
+    projector_multiplier,
     random_field,
 )
 
@@ -381,18 +382,14 @@ def projector_bound_probe(
         sigma = g.d / 2.0
     worst = 0.0
     ratios = []
+    projectors = {lat: projector_multiplier(g, lat, sign)
+                  for lat in {tr.lattice for tr in trajectories}}
     for tr in trajectories:
         denom = solution_norm(tr, sigma, sign).value
         if denom <= 0.0:
             continue
-        proj = Trajectory(
-            tr.lattice,
-            tr.d0,
-            tr.times,
-            np.stack(
-                [project_dirac(g, tr.frame(k), sign).coeffs for k in range(tr.n_frames)]
-            ),
-        )
+        frames = apply_matrices(projectors[tr.lattice], tr.frames)
+        proj = Trajectory(tr.lattice, tr.d0, tr.times, frames)
         num = solution_norm(proj, sigma, sign).value
         ratios.append(num / denom)
         worst = max(worst, num / denom)

@@ -151,13 +151,13 @@ def _phases(times: np.ndarray, lattice: FrequencyLattice) -> dict:
 
 
 def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
-                         proj_plus, phase: dict, dt: float,
-                         total: np.ndarray) -> dict:
+                         lattice: FrequencyLattice, proj_plus: np.ndarray,
+                         phase: dict, dt: float, total: np.ndarray) -> dict:
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
     ``total`` holds psi on the frames and ``proj_plus`` is Pi_+."""
-    fhat = evaluate_coefficients(F, total, proj_plus.lattice) @ g.beta.T
-    plus = apply_matrices(proj_plus.values, fhat)
+    fhat = evaluate_coefficients(F, total, lattice) @ g.beta.T
+    plus = apply_matrices(proj_plus, fhat)
     fhat -= plus  # Pi_- = 1 - Pi_+
     out = {}
     for s, integrand in ((+1, plus), (-1, fhat)):
@@ -214,7 +214,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     def duhamel_map(psi: np.ndarray) -> np.ndarray:
         if F is None or F.is_zero():
             return free
-        corr = _duhamel_corrections(F, g, proj[+1], phase, cfg.dt, psi)
+        corr = _duhamel_corrections(F, g, lattice, proj[+1], phase, cfg.dt, psi)
         return free + corr[+1] + corr[-1]
 
     psi = free
@@ -245,10 +245,10 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     # residual under one more application of the map
     diagnostics["duhamel_residual"] = _sup_frame_norm(duhamel_map(psi) - psi) / scale
     # branch-range defects: each branch must stay in its projector's range
-    plus = apply_matrices(proj[+1].values, psi)
+    plus = apply_matrices(proj[+1], psi)
     branches = {+1: plus, -1: psi - plus}
     diagnostics["projector_range_defect"] = max(
-        _sup_frame_norm(apply_matrices(proj[-s].values, branches[s])) / scale
+        _sup_frame_norm(apply_matrices(proj[-s], branches[s])) / scale
         for s in (+1, -1)
     )
     if cfg.monitor_solution_norm:
@@ -283,7 +283,7 @@ def evolve_dirac_rk4(
     times = dt * np.arange(n_frames)
     frames = np.empty((n_frames,) + lattice.shape + (g.d0,), dtype=np.complex128)
     frames[0] = psi0.coeffs
-    pp = projector_multiplier(g, lattice, +1).values
+    pp = projector_multiplier(g, lattice, +1)
     phases = [np.exp(-1j * tau * lattice.bracket)[..., None, None]
               for tau in (0.5 * dt, dt)]
     half, full = (p * pp + np.conj(p) * (np.eye(g.d0) - pp) for p in phases)
@@ -326,11 +326,11 @@ def second_order_data(
     v = np.zeros_like(coeffs)
     for j in range(g.d):
         dj = 1j * lattice.xi[..., j, None] * coeffs  # true derivative d/dx^j
-        v -= np.einsum("ab,...b->...a", g.alpha[j], dj)
-    v -= 1j * mass * np.einsum("ab,...b->...a", g.beta, coeffs)
+        v -= dj @ g.alpha[j].T
+    v -= 1j * mass * (coeffs @ g.beta.T)
     if F is not None and not F.is_zero():
         fc = evaluate_coefficients(F, coeffs, lattice)
-        v += 1j * np.einsum("ab,...b->...a", g.beta, fc)
+        v += 1j * (fc @ g.beta.T)
     return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, v))
 
 
@@ -341,30 +341,31 @@ def _second_order_rhs(
     lattice: FrequencyLattice,
     mass: float,
 ) -> np.ndarray:
-    """Coefficients of the source G(psi, grad psi) of the second-order form."""
+    """Coefficients of the source G(psi, grad psi) of the second-order form,
+
+        G = m F + i sum_j gamma^j J d_j psi + K (m psi - F - i sum_j gamma^j d_j psi)
+
+    with J the Jacobian of F at psi and K = gamma^0 J gamma^0 (alpha^j =
+    gamma^0 gamma^j, beta = gamma^0).  psi and its d derivatives go to the
+    grid in one transform.
+    """
     if F is None or F.is_zero():
         return np.zeros_like(u_hat)
+    d = lattice.d
     grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
-    psi = to_grid(u_hat, lattice.d, grid)
-    derivs = [to_grid(1j * lattice.xi[..., j, None] * u_hat, lattice.d, grid)
-              for j in range(g.d)]
+    ik = 1j * np.moveaxis(lattice.xi, -1, 0)[..., None]  # (d,) + shape + (1,)
+    fields = to_grid(np.concatenate((u_hat[None], ik * u_hat)), d, grid)
+    psi, derivs = fields[0], fields[1:]
     jac = jacobian(F, psi)
     fval = evaluate(F, psi)
     gamma0 = g.gamma[0]
     out = mass * fval
-    for j in range(g.d):
-        jd = np.einsum("...ab,...b->...a", jac, derivs[j])
-        out += 1j * np.einsum("ab,...b->...a", g.gamma[j + 1], jd)
-        adj = np.einsum("ab,...b->...a", g.alpha[j], derivs[j])
-        jadj = np.einsum("...ab,...b->...a", jac, adj)
-        out -= 1j * np.einsum("ab,...b->...a", gamma0, jadj)
-    g0psi = np.einsum("ab,...b->...a", gamma0, psi)
-    out += mass * np.einsum("ab,...b->...a", gamma0,
-                            np.einsum("...ab,...b->...a", jac, g0psi))
-    g0f = np.einsum("ab,...b->...a", gamma0, fval)
-    out -= np.einsum("ab,...b->...a", gamma0,
-                     np.einsum("...ab,...b->...a", jac, g0f))
-    return from_grid(out, lattice.d, lattice.radius)
+    inner = mass * psi - fval
+    for j in range(d):
+        out += 1j * (apply_matrices(jac, derivs[j]) @ g.gamma[j + 1].T)
+        inner -= 1j * (derivs[j] @ g.gamma[j + 1].T)
+    out += apply_matrices(jac, inner @ gamma0.T) @ gamma0.T
+    return from_grid(out, d, lattice.radius)
 
 
 def kg_frequencies(lattice: FrequencyLattice, mass: float, dt: float) -> np.ndarray:
@@ -450,10 +451,10 @@ def dirac_residual(
     dt_psi = (tr.frames[2:] - tr.frames[:-2]) / (2.0 * dt)
     mid = tr.frames[1:-1]
     # i gamma^mu d_mu psi - m psi + F(psi)
-    res = 1j * np.einsum("ab,k...b->k...a", g.gamma[0], dt_psi)
+    res = 1j * (dt_psi @ g.gamma[0].T)
     for j in range(g.d):
         dj = 1j * lattice.xi[..., j, None] * mid
-        res += 1j * np.einsum("ab,k...b->k...a", g.gamma[j + 1], dj)
+        res += 1j * (dj @ g.gamma[j + 1].T)
     res -= mass * mid
     if F is not None and not F.is_zero():
         res += evaluate_coefficients(F, mid, lattice)

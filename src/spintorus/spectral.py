@@ -1,4 +1,4 @@
-"""Truncated Fourier series on the flat torus and diagonal frequency multipliers.
+"""Truncated Fourier series on the flat torus and per-frequency multipliers.
 
 Conventions (used consistently across the package):
 
@@ -18,6 +18,9 @@ Conventions (used consistently across the package):
   lines the coefficient box still spans, ``from_grid`` transforms an axis and
   keeps only the lattice rows before the next, so no FFT runs over a line
   that is known to be zero or is thrown away (a pruned FFT).
+* A per-frequency spinor matrix (the half-wave projector, a propagator) is a
+  plain array of shape lattice.shape + (d0, d0), applied by
+  ``apply_matrices``; a constant matrix M applies as ``x @ M.T``.
 """
 
 from __future__ import annotations
@@ -265,45 +268,7 @@ def inverse_fourier(f: SpinorField, grid: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# multipliers
-
-
-@dataclass
-class Multiplier:
-    """Scalar- or matrix-valued symbol applied diagonally in frequency."""
-
-    lattice: FrequencyLattice
-    kind: str  # "scalar" | "matrix"
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind == "scalar":
-            if self.values.shape != self.lattice.shape:
-                raise ValueError("scalar symbol must match the lattice shape")
-        elif self.kind == "matrix":
-            if (
-                self.values.ndim != self.lattice.d + 2
-                or self.values.shape[: self.lattice.d] != self.lattice.shape
-                or self.values.shape[-1] != self.values.shape[-2]
-            ):
-                raise ValueError("matrix symbol must be lattice.shape + (d0, d0)")
-        else:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-
-
-def scalar_multiplier(lattice: FrequencyLattice, values: np.ndarray) -> Multiplier:
-    return Multiplier(lattice, "scalar", np.asarray(values))
-
-
-def apply_multiplier(m: Multiplier, f: SpinorField) -> SpinorField:
-    """Coefficientwise product m(xi) u^(xi); linear in the field."""
-    if m.lattice != f.lattice:
-        raise ValueError("multiplier and field lattices differ")
-    if m.kind == "scalar":
-        return SpinorField(f.lattice, f.d0, f.coeffs * m.values[..., None])
-    if m.values.shape[-1] != f.d0:
-        raise ValueError("matrix symbol order does not match the spinor dimension")
-    return SpinorField(f.lattice, f.d0, apply_matrices(m.values, f.coeffs))
+# per-frequency multipliers
 
 
 def apply_matrices(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -334,13 +299,14 @@ def projector_symbol(g: GammaSet, xi, sign: int) -> np.ndarray:
         raise ValueError("sign must be +1 or -1")
     h = g.dirac_symbol(xi)
     eye = np.eye(g.d0, dtype=np.complex128)
-    return 0.5 * (eye + (sign / japanese_bracket(xi)) * h)
+    return 0.5 * (eye + sign * h / japanese_bracket(xi))
 
 
 def projector_multiplier(
     g: GammaSet, lattice: FrequencyLattice, sign: int
-) -> Multiplier:
-    """Matrix multiplier of the half-wave projector over the whole lattice."""
+) -> np.ndarray:
+    """The half-wave projector at every lattice point, shape
+    ``lattice.shape + (d0, d0)``; apply it with ``apply_matrices``."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if lattice.d != g.d:
@@ -353,14 +319,15 @@ def projector_multiplier(
     h *= (sign / lattice.bracket)[..., None, None]
     h += np.eye(g.d0, dtype=np.complex128)
     h *= 0.5
-    return Multiplier(lattice, "matrix", h)
+    return h
 
 
 def project_dirac(g: GammaSet, f: SpinorField, sign: int) -> SpinorField:
     """Apply the half-wave projector; idempotent, and the two signs sum to f."""
     if g.d0 != f.d0:
         raise ValueError("spinor dimensions differ between gamma set and field")
-    return apply_multiplier(projector_multiplier(g, f.lattice, sign), f)
+    proj = projector_multiplier(g, f.lattice, sign)
+    return SpinorField(f.lattice, f.d0, apply_matrices(proj, f.coeffs))
 
 
 # ---------------------------------------------------------------------------

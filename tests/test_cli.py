@@ -253,6 +253,12 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["solve", "--nonlinearity", str(series)] + out) == EXIT_USAGE
     assert main(["audit", "--nonlinearity", str(series), "--constant", "2"]
                 + out) == EXIT_USAGE
+    for bad in ('[{"p": [2.5, 0], "c": [[1, 0], [0, 0]]}]',
+                '[{"p": [true, 2], "c": [[1, 0], [0, 0]]}]',
+                '[{"p": ["3", 0], "c": [[1, 0], [0, 0]]}]',
+                '{"terms": [{"p": [3, 0], "c": [[1, 0], [0, 0]]}], "tail_ratio": true}'):
+        series.write_text(bad)
+        assert main(["audit", "--nonlinearity", str(series)] + out) == EXIT_USAGE, bad
     assert main(["verify", "--dims", "1", "1"] + out) == EXIT_USAGE
     for command in ("verify", "solve", "compare-kg", "audit"):
         assert main([command, "--out", ""]) == EXIT_USAGE, command

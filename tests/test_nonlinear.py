@@ -28,7 +28,7 @@ from spintorus.nonlinear import (
     multinomial_split,
     load_nonlinearity_file,
 )
-from spintorus.spectral import FrequencyLattice, Multiplier, SpinorField, apply_multiplier, plane_wave, random_field
+from spintorus.spectral import FrequencyLattice, SpinorField, apply_matrices, plane_wave, random_field
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ def test_field_linear_series_is_a_multiplier(rng):
     f = random_field(lat, 2, rng)
     lhs = SpinorField(lat, 2, evaluate_coefficients(F, f.coeffs, lat))
     values = np.broadcast_to(mat, lat.shape + (2, 2))
-    rhs = apply_multiplier(Multiplier(lat, "matrix", np.ascontiguousarray(values)), f)
+    rhs = SpinorField(lat, 2, apply_matrices(values, f.coeffs))
     assert (lhs - rhs).l2_norm() <= 1e-12 * f.l2_norm()
 
 

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
+from spintorus import solver
 from spintorus.clifford import build_gamma
-from spintorus.nonlinear import PowerSeriesNonlinearity, bundled_cubic, evaluate_coefficients
+from spintorus.nonlinear import (
+    PowerSeriesNonlinearity,
+    bundled_cubic,
+    bundled_geometric,
+    evaluate,
+    evaluate_coefficients,
+    jacobian,
+    padded_grid_size,
+)
 from spintorus.norms import solution_norm
 from spintorus.solver import (
     PicardError,
     SolveConfig,
     _duhamel_corrections,
     _phases,
+    _second_order_rhs,
     dirac_residual,
     evolve_dirac_rk4,
     evolve_klein_gordon,
@@ -24,12 +34,14 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    from_grid,
     japanese_bracket,
     plane_wave,
     project_dirac,
     projector_multiplier,
     projector_symbol,
     random_field,
+    to_grid,
 )
 
 
@@ -87,7 +99,7 @@ def test_half_wave_basics(rng):
 def _constant_psi_corrections(F, psi_c, m, dt):
     """Both Duhamel corrections at the last of m frames, psi constant in time."""
     frames = np.repeat(psi_c.coeffs[None], m, axis=0)
-    corr = _duhamel_corrections(F, G1, projector_multiplier(G1, LAT16, +1),
+    corr = _duhamel_corrections(F, G1, LAT16, projector_multiplier(G1, LAT16, +1),
                                 _phases(dt * np.arange(m), LAT16), dt, frames)
     return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
 
@@ -377,6 +389,66 @@ def test_routes_agree_on_cubic(rng):
     state = second_order_data(psi0, F, G1, 1.0)
     kg = evolve_klein_gordon(state, F, G1, 1.0, 1.0 / 64.0, 1.0)
     assert _sup_dist(res.trajectory, kg) <= 1e-5
+
+
+def _second_order_rhs_by_terms(u_hat, F, g, lattice, mass):
+    """The second-order source term by term, each derivative transformed on
+    its own: m F + sum_j (i gamma^j J d_j psi - i gamma^0 J alpha^j d_j psi)
+    + m gamma^0 J gamma^0 psi - gamma^0 J gamma^0 F."""
+    grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
+    psi = to_grid(u_hat, lattice.d, grid)
+    derivs = [to_grid(1j * lattice.xi[..., j, None] * u_hat, lattice.d, grid)
+              for j in range(g.d)]
+    jac = jacobian(F, psi)
+    fval = evaluate(F, psi)
+
+    def const(m, x):
+        return np.einsum("ab,...b->...a", m, x)
+
+    def jac_apply(x):
+        return np.einsum("...ab,...b->...a", jac, x)
+
+    g0 = g.gamma[0]
+    out = mass * fval
+    for j in range(g.d):
+        out += 1j * const(g.gamma[j + 1], jac_apply(derivs[j]))
+        out -= 1j * const(g0, jac_apply(const(g.alpha[j], derivs[j])))
+    out += mass * const(g0, jac_apply(const(g0, psi)))
+    out -= const(g0, jac_apply(const(g0, fval)))
+    return from_grid(out, lattice.d, lattice.radius)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", ["cubic", "geometric"])
+def test_second_order_rhs_matches_term_by_term_source(rng, d, family):
+    # O(1) fields, where every term of the source is resolved above rounding
+    g = build_gamma(d)
+    lat = FrequencyLattice(d, 2)
+    F = bundled_cubic(g.d0) if family == "cubic" else bundled_geometric(g.d0, 0.5, 4)
+    u_hat = random_field(lat, g.d0, rng).coeffs / np.sqrt(lat.size)
+    for mass in (1.0, 0.7):
+        ref = _second_order_rhs_by_terms(u_hat, F, g, lat, mass)
+        out = _second_order_rhs(u_hat, F, g, lat, mass)
+        assert np.abs(ref).max() > 1e-2
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_second_order_rhs_transforms_once(monkeypatch, rng):
+    # psi and its d derivatives share one transform; d + 1 Jacobian applies
+    calls = {"to_grid": 0, "apply_matrices": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    g = build_gamma(3)
+    lat = FrequencyLattice(3, 2)
+    _second_order_rhs(random_field(lat, g.d0, rng).coeffs, bundled_cubic(g.d0), g, lat, 1.0)
+    assert calls == {"to_grid": 1, "apply_matrices": 4}
 
 
 # ---------------------------------------------------------------------------

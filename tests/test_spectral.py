@@ -9,11 +9,9 @@ import spintorus
 from spintorus.clifford import build_gamma
 from spintorus.spectral import (
     FrequencyLattice,
-    Multiplier,
     SpinorField,
     Trajectory,
     apply_matrices,
-    apply_multiplier,
     derivative_monomial,
     forward_fourier,
     from_grid,
@@ -23,7 +21,6 @@ from spintorus.spectral import (
     project_dirac,
     projector_symbol,
     random_field,
-    scalar_multiplier,
     to_grid,
 )
 
@@ -213,6 +210,19 @@ def test_spatial_ffts_only_in_spectral():
     assert offenders == []
 
 
+def test_no_einsum_in_package():
+    # per-frequency matrices apply through apply_matrices, constant ones as
+    # x @ M.T: one form, one kernel
+    src = pathlib.Path(spintorus.__file__).parent
+    offenders = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "einsum" in line
+    ]
+    assert offenders == []
+
+
 def test_plancherel_quadrature(rng):
     # (2 pi)^{-d} int |u|^2 dx  ==  sum_xi |u^(xi)|^2, quadrature on the grid
     lat = FrequencyLattice(2, 4)
@@ -230,41 +240,6 @@ def test_coefficient_access_rejects_frequency_outside_lattice():
         with pytest.raises(ValueError, match="outside the lattice"):
             SpinorField.zeros(lat, 2).coefficient(xi)
     assert plane_wave(lat, 2, [-4], [1.0, 0.0]).coefficient([-4])[0] == 1.0
-
-
-def test_multiplier_identity_and_bracket(rng):
-    lat = FrequencyLattice(2, 4)
-    f = random_field(lat, 2, rng)
-    one = scalar_multiplier(lat, np.ones(lat.shape))
-    assert np.array_equal(apply_multiplier(one, f).coeffs, f.coeffs)
-    pw = plane_wave(lat, 2, [2, -1], [1.0, 2.0])
-    out = apply_multiplier(scalar_multiplier(lat, lat.bracket), pw)
-    assert np.allclose(out.coefficient([2, -1]), japanese_bracket([2, -1]) * np.array([1.0, 2.0]))
-
-
-def test_multiplier_composition(rng):
-    lat = FrequencyLattice(2, 4)
-    f = random_field(lat, 2, rng)
-    m1 = scalar_multiplier(lat, rng.standard_normal(lat.shape))
-    m2 = scalar_multiplier(lat, rng.standard_normal(lat.shape))
-    double = apply_multiplier(m1, apply_multiplier(m2, f))
-    product = apply_multiplier(scalar_multiplier(lat, m1.values * m2.values), f)
-    assert np.abs(double.coeffs - product.coeffs).max() <= 1e-12
-
-
-def test_multiplier_lattice_mismatch(rng):
-    f = random_field(FrequencyLattice(1, 4), 2, rng)
-    m = scalar_multiplier(FrequencyLattice(1, 5), np.ones(11))
-    with pytest.raises(ValueError):
-        apply_multiplier(m, f)
-
-
-def test_unitary_symbol_preserves_l2(rng):
-    lat = FrequencyLattice(2, 4)
-    f = random_field(lat, 2, rng)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lat.shape))
-    out = apply_multiplier(scalar_multiplier(lat, phases), f)
-    assert out.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-13)
 
 
 def test_projector_symbol_values():
@@ -308,10 +283,10 @@ def test_projector_commutes_with_scalar_multiplier(rng):
     g = build_gamma(2)
     lat = FrequencyLattice(2, 4)
     f = random_field(lat, g.d0, rng)
-    m = scalar_multiplier(lat, rng.standard_normal(lat.shape))
-    a = project_dirac(g, apply_multiplier(m, f), +1)
-    b = apply_multiplier(m, project_dirac(g, f, +1))
-    assert (a - b).l2_norm() <= 1e-12 * f.l2_norm()
+    m = rng.standard_normal(lat.shape)[..., None]
+    a = project_dirac(g, SpinorField(lat, g.d0, m * f.coeffs), +1)
+    b = m * project_dirac(g, f, +1).coeffs
+    assert np.linalg.norm(a.coeffs - b) <= 1e-12 * f.l2_norm()
 
 
 def test_partial_derivative_plane_wave_and_constant():
@@ -348,11 +323,3 @@ def test_trajectory_validation(rng):
     assert tr.dt == pytest.approx(0.1)
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(lat, 2, np.array([0.0, 0.1, 0.35, 0.4]), frames)
-
-
-def test_matrix_multiplier_shape_checks(rng):
-    lat = FrequencyLattice(1, 2)
-    with pytest.raises(ValueError):
-        Multiplier(lat, "matrix", np.zeros(lat.shape + (2, 3)))
-    with pytest.raises(ValueError):
-        Multiplier(lat, "other", np.zeros(lat.shape))

@@ -29,8 +29,6 @@ KEPT = {
     "spectral.forward_fourier": "field-level transform that tests sample and check fields with",
     "spectral.inverse_fourier": "field-level transform that tests sample and check fields with",
     "spectral.plane_wave": "test constructor of single-mode fields",
-    "spectral.projector_symbol": "test constructor of the projector at one frequency",
-    "spectral.scalar_multiplier": "test constructor of scalar multipliers",
 }
 
 
