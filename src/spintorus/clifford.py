@@ -41,22 +41,14 @@ class GammaSet:
     beta: np.ndarray
 
     def dirac_symbol(self, xi) -> np.ndarray:
-        """The matrix sum_j alpha^j xi_j + beta at one frequency."""
+        """The matrix sum_j alpha^j xi_j + beta at frequencies ``xi`` of shape
+        (..., d), shape (..., d0, d0)."""
         xi = np.asarray(xi, dtype=float)
-        h = self.beta.copy()
+        h = np.zeros(xi.shape[:-1] + (self.d0, self.d0), dtype=np.complex128)
         for j in range(self.d):
-            h += xi[j] * self.alpha[j]
+            h += xi[..., j, None, None] * self.alpha[j]
+        h += self.beta
         return h
-
-    def to_json_dict(self) -> dict:
-        """Row-major [re, im] encoding of the gamma matrices."""
-        return {
-            "d": self.d,
-            "d0": self.d0,
-            "gamma": [
-                [[[z.real, z.imag] for z in row] for row in g] for g in self.gamma
-            ],
-        }
 
 
 def _alpha_beta(d: int) -> tuple[list[np.ndarray], np.ndarray]:

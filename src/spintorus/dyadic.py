@@ -359,10 +359,6 @@ class CubeCover:
     k: int
     centers: np.ndarray  # (n_centers, d) integer multiples of 2^k inside the lattice
 
-    @property
-    def n_centers(self) -> int:
-        return self.centers.shape[0]
-
 
 def _cube_axis(lattice: FrequencyLattice, k: int) -> np.ndarray:
     """Per-axis centre coordinates: the multiples of 2^k inside [-N, N]."""

@@ -62,22 +62,14 @@ class PowerSeriesNonlinearity:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, factor: complex) -> "PowerSeriesNonlinearity":
-        return PowerSeriesNonlinearity(
-            self.d0,
-            {p: factor * c for p, c in self.terms.items()},
-            self.vanishes_at_zero,
-            self.tail_ratio,
-        )
-
-
 
 def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
     """Parse the JSON form: either a plain list of {p, c} records or an
     object {"terms": [...], "tail_ratio": r} for declared-tail families.
     Raises ValueError on an exponent that is not an integer (a bool, float or
-    string), a coefficient that is not finite or a tail ratio that is a bool
-    or is not finite and >= 0."""
+    string), a coefficient part that is a bool, a coefficient list whose
+    length is not d0, a coefficient that is not finite or a tail ratio that
+    is a bool or is not finite and >= 0."""
     tail = None
     if isinstance(obj, dict):
         tail = obj.get("tail_ratio")
@@ -96,7 +88,11 @@ def load_nonlinearity(obj) -> PowerSeriesNonlinearity:
                    for x in rec["p"]):
             raise ValueError(f"exponents must be integers, got {rec['p']}")
         p = tuple(int(x) for x in rec["p"])
+        if any(isinstance(x, bool) for pair in rec["c"] for x in pair):
+            raise ValueError(f"coefficient parts must be numbers, got {rec['c']}")
         c = np.array([complex(re, im) for re, im in rec["c"]])
+        if c.shape != (d0,):
+            raise ValueError(f"the multi-index {p} needs {d0} coefficients, got {len(c)}")
         if not np.isfinite(c).all():
             raise ValueError(f"non-finite coefficient for the multi-index {p}")
         terms[p] = terms.get(p, np.zeros(d0, dtype=np.complex128)) + c
@@ -111,14 +107,14 @@ def load_nonlinearity_file(path: str) -> PowerSeriesNonlinearity:
 # bundled families used by the command-line scenarios and the audit tests
 
 
-def bundled_cubic(d0: int = 2, amplitude: float = 1.0) -> PowerSeriesNonlinearity:
-    """Componentwise cubic F_k(psi) = amplitude * psi_k^3."""
+def bundled_cubic(d0: int = 2) -> PowerSeriesNonlinearity:
+    """Componentwise cubic F_k(psi) = psi_k^3."""
     terms = {}
     for k in range(d0):
         p = [0] * d0
         p[k] = 3
         c = np.zeros(d0, dtype=np.complex128)
-        c[k] = amplitude
+        c[k] = 1.0
         terms[tuple(p)] = c
     return PowerSeriesNonlinearity(d0, terms)
 

@@ -35,7 +35,7 @@ from .spectral import (
     Trajectory,
     apply_matrices,
     grid_lq_norms,
-    projector_multiplier,
+    projector_symbol,
     random_field,
 )
 
@@ -51,7 +51,6 @@ class NormReport:
 
     value: float
     breakdown: dict = dc_field(default_factory=dict)
-    metadata: dict = dc_field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +63,8 @@ def sobolev_norm(f: SpinorField, s: float) -> float:
     return float(np.sqrt(np.sum(w[..., None] * np.abs(f.coeffs) ** 2)))
 
 
-def besov_norm(f: SpinorField, s: float, p: int = 2, q: int = 2) -> float:
-    """l^2-dyadic Besov norm; only the Sobolev-equivalent case p = q = 2.
+def besov_norm(f: SpinorField, s: float) -> float:
+    """l^2-dyadic Besov norm, the Sobolev-equivalent case p = q = 2.
 
     The low-frequency block is the smooth low-pass lowpass_profile(|xi|)
     (counted once, weight 1 exactly on |xi| <= 1), the rest the weighted sum
@@ -73,8 +72,6 @@ def besov_norm(f: SpinorField, s: float, p: int = 2, q: int = 2) -> float:
     squares sum to 1 pointwise, which makes the s = 0 norm agree with the
     L^2 norm exactly instead of merely up to the partition overlap factor.
     """
-    if p != 2 or q != 2:
-        raise ValueError("only the p = q = 2 Besov scale is supported")
     lat = f.lattice
     r = np.sqrt(lat.xi_norm_sq)
     low = lowpass_profile(r)
@@ -112,15 +109,14 @@ def _time_aggregate(values: np.ndarray, times: np.ndarray, p: float) -> float:
     return float(np.sum(w * values**p) ** (1.0 / p))
 
 
-def _spatial_norms(tr: Trajectory, q: float, grid: int | None = None) -> np.ndarray:
+def _spatial_norms(tr: Trajectory, q: float) -> np.ndarray:
     """Per-frame spatial L^q norms, vectorised over frames."""
     if q == 2:
         return np.linalg.norm(
             tr.frames.reshape(tr.n_frames, -1), axis=1
         )
-    if grid is None:
-        qq = int(q) if q != np.inf and float(q).is_integer() else 4
-        grid = max(qq, 4) * tr.lattice.radius + 1
+    qq = int(q) if q != np.inf and float(q).is_integer() else 4
+    grid = max(qq, 4) * tr.lattice.radius + 1
     return grid_lq_norms(tr.frames, tr.lattice.d, q, grid)
 
 
@@ -207,7 +203,6 @@ def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
     return NormReport(
         value=energy + modu,
         breakdown={"energy": energy, "modulation": modu},
-        metadata={"kind": "block", "j": j, "sign": sign},
     )
 
 
@@ -236,7 +231,6 @@ def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:
     return NormReport(
         value=sum(breakdown.values(), 0.0),
         breakdown=breakdown,
-        metadata={"kind": "solution", "sigma": sigma, "sign": sign},
     )
 
 
@@ -285,18 +279,17 @@ def measure_bernstein_constant(
     max_order: int = 3,
     n_random: int = 1000,
     seed: int = 0,
-    scales: list[int] | None = None,
 ) -> dict:
     """Measured constant of the derivative-vs-scale inequality.
 
     The supremum of the ratio over localised fields is attained at single
     lattice modes, so the reported constant combines a deterministic scan of
     the annulus lattice points (seed-independent) with a randomised check
-    that no sampled field violates the hard 4^{|alpha|} bound.
+    that no sampled field violates the hard 4^{|alpha|} bound.  The scales
+    are 0 <= j < jmax of ``radial_scale_range``.
     """
     _, jmax = radial_scale_range(lattice)
-    if scales is None:
-        scales = [j for j in range(0, jmax)]
+    scales = list(range(0, jmax))
     rng = np.random.default_rng(seed)
     r = np.sqrt(lattice.xi_norm_sq)
     c_det = 0.0
@@ -337,7 +330,7 @@ def measure_bernstein_constant(
         "c_meas": float(c_det),
         "violations": int(violations),
         "worst_ratio_fraction": float(worst_ratio),
-        "scales": list(scales),
+        "scales": scales,
         "max_order": max_order,
     }
 
@@ -382,7 +375,7 @@ def projector_bound_probe(
         sigma = g.d / 2.0
     worst = 0.0
     ratios = []
-    projectors = {lat: projector_multiplier(g, lat, sign)
+    projectors = {lat: projector_symbol(g, lat.xi, sign)
                   for lat in {tr.lattice for tr in trajectories}}
     for tr in trajectories:
         denom = solution_norm(tr, sigma, sign).value

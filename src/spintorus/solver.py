@@ -37,7 +37,7 @@ from .spectral import (
     apply_matrices,
     from_grid,
     project_dirac,
-    projector_multiplier,
+    projector_symbol,
     random_field,
     to_grid,
 )
@@ -57,9 +57,6 @@ class SplitState:
 
     plus: SpinorField
     minus: SpinorField
-
-    def total(self) -> SpinorField:
-        return self.plus + self.minus
 
 
 @dataclass
@@ -206,7 +203,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         )
     F = cfg.nonlinearity
     times = cfg.dt * np.arange(cfg.n_frames)
-    proj = {s: projector_multiplier(g, lattice, s) for s in (+1, -1)}
+    proj = {s: projector_symbol(g, lattice.xi, s) for s in (+1, -1)}
     phase = _phases(times, lattice)
     free = sum(phase[s][..., None] * project_dirac(g, psi0, s).coeffs
                for s in (+1, -1))
@@ -283,7 +280,7 @@ def evolve_dirac_rk4(
     times = dt * np.arange(n_frames)
     frames = np.empty((n_frames,) + lattice.shape + (g.d0,), dtype=np.complex128)
     frames[0] = psi0.coeffs
-    pp = projector_multiplier(g, lattice, +1)
+    pp = projector_symbol(g, lattice.xi, +1)
     phases = [np.exp(-1j * tau * lattice.bracket)[..., None, None]
               for tau in (0.5 * dt, dt)]
     half, full = (p * pp + np.conj(p) * (np.eye(g.d0) - pp) for p in phases)
@@ -495,13 +492,20 @@ def gaussian_data(
     epsilon: float,
     s: float,
     seed: int = 0,
-    width: float = 2.0,
 ) -> SpinorField:
-    """Smooth random data with Gaussian frequency decay, normalised so its
-    Sobolev norm of index s equals epsilon.  Deterministic per seed."""
+    """Smooth random data with Gaussian frequency decay of width 2, normalised
+    so its Sobolev norm of index s equals epsilon.  Deterministic per seed.
+    Raises ValueError when the norm of the draw or of the result is not
+    finite and positive, as for a huge s or epsilon."""
     rng = np.random.default_rng(seed)
     f = random_field(lattice, d0, rng)
-    decay = np.exp(-lattice.xi_norm_sq / (2.0 * width * width))
+    decay = np.exp(-lattice.xi_norm_sq / 8.0)
     f = SpinorField(lattice, d0, f.coeffs * decay[..., None])
-    norm = sobolev_norm(f, s)
-    return f * (epsilon / norm)
+    with np.errstate(over="ignore"):  # an overflow shows as a norm of inf
+        norm = sobolev_norm(f, s)
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError(f"the random draw has Sobolev norm {norm} at s={s}")
+        f = f * (epsilon / norm)
+        if not math.isfinite(sobolev_norm(f, s)):
+            raise ValueError(f"initial data of size {epsilon} at s={s} overflows")
+    return f

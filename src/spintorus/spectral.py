@@ -84,10 +84,10 @@ class FrequencyLattice:
         return 2 * self.radius + 1
 
 
-def japanese_bracket(xi) -> float:
-    """(1 + |xi|^2)^(1/2) for a single frequency."""
+def japanese_bracket(xi):
+    """(1 + |xi|^2)^(1/2) for frequencies of shape (..., d); a float for one."""
     xi = np.asarray(xi, dtype=float)
-    return float(np.sqrt(1.0 + np.sum(xi * xi)))
+    return np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
 
 
 @dataclass
@@ -136,10 +136,6 @@ class SpinorField:
             if i < 0 or i >= 2 * self.lattice.radius + 1:
                 raise ValueError(f"frequency {xi} outside the lattice")
         return idx
-
-    def coefficient(self, xi) -> np.ndarray:
-        """Coefficient vector at one lattice point."""
-        return self.coeffs[self._index(xi)]
 
     def set_coefficient(self, xi, value) -> None:
         self.coeffs[self._index(xi)] = value
@@ -294,29 +290,16 @@ def derivative_monomial(f: SpinorField, alpha) -> SpinorField:
 
 
 def projector_symbol(g: GammaSet, xi, sign: int) -> np.ndarray:
-    """The half-wave projector (I +- (sum alpha^j xi_j + beta)/<xi>)/2 at one xi."""
+    """The half-wave projector (I +- (sum alpha^j xi_j + beta)/<xi>)/2 at
+    frequencies ``xi`` of shape (..., d), shape (..., d0, d0); for a lattice
+    pass ``lattice.xi`` and apply the result with ``apply_matrices``."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1] != g.d:
+        raise ValueError("frequency dimension does not match the gamma set")
     h = g.dirac_symbol(xi)
-    eye = np.eye(g.d0, dtype=np.complex128)
-    return 0.5 * (eye + sign * h / japanese_bracket(xi))
-
-
-def projector_multiplier(
-    g: GammaSet, lattice: FrequencyLattice, sign: int
-) -> np.ndarray:
-    """The half-wave projector at every lattice point, shape
-    ``lattice.shape + (d0, d0)``; apply it with ``apply_matrices``."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if lattice.d != g.d:
-        raise ValueError("lattice dimension does not match the gamma set")
-    shape = lattice.shape + (g.d0, g.d0)
-    h = np.zeros(shape, dtype=np.complex128)
-    for j in range(g.d):
-        h += lattice.xi[..., j, None, None] * g.alpha[j]
-    h += g.beta
-    h *= (sign / lattice.bracket)[..., None, None]
+    h *= (sign / japanese_bracket(xi))[..., None, None]
     h += np.eye(g.d0, dtype=np.complex128)
     h *= 0.5
     return h
@@ -326,7 +309,7 @@ def project_dirac(g: GammaSet, f: SpinorField, sign: int) -> SpinorField:
     """Apply the half-wave projector; idempotent, and the two signs sum to f."""
     if g.d0 != f.d0:
         raise ValueError("spinor dimensions differ between gamma set and field")
-    proj = projector_multiplier(g, f.lattice, sign)
+    proj = projector_symbol(g, f.lattice.xi, sign)
     return SpinorField(f.lattice, f.d0, apply_matrices(proj, f.coeffs))
 
 
@@ -366,22 +349,3 @@ class Trajectory:
 
     def frame(self, k: int) -> SpinorField:
         return SpinorField(self.lattice, self.d0, self.frames[k])
-
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.lattice, self.d0, self.times.copy(), self.frames.copy())
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        if self.lattice != other.lattice or self.frames.shape != other.frames.shape:
-            raise ValueError("trajectories are not comparable")
-        return Trajectory(self.lattice, self.d0, self.times, self.frames - other.frames)
-
-    def __mul__(self, scalar) -> "Trajectory":
-        return Trajectory(self.lattice, self.d0, self.times, self.frames * scalar)
-
-    __rmul__ = __mul__
-
-    def map_symbol(self, values: np.ndarray) -> "Trajectory":
-        """Apply one scalar frequency symbol to every frame."""
-        return Trajectory(
-            self.lattice, self.d0, self.times, self.frames * values[None, ..., None]
-        )

@@ -259,6 +259,17 @@ def test_usage_exit_on_bad_flag(tmp_path):
                 '{"terms": [{"p": [3, 0], "c": [[1, 0], [0, 0]]}], "tail_ratio": true}'):
         series.write_text(bad)
         assert main(["audit", "--nonlinearity", str(series)] + out) == EXIT_USAGE, bad
+    # a coefficient list shorter than d0, and a bool coefficient part
+    for bad in ('[{"p": [3, 0], "c": [[1, 0]]}]',
+                '[{"p": [3, 0], "c": [[true, 0], [0, 0]]}]'):
+        series.write_text(bad)
+        for command in ("solve", "compare-kg", "audit"):
+            assert main([command, "--nonlinearity", str(series)] + out) == EXIT_USAGE, bad
+    # data whose Sobolev norm overflows, and a draw whose norm is infinite
+    config.write_text('{"s": 1e300}')
+    for command in ("solve", "compare-kg"):
+        assert main([command, "--epsilon", "1e200"] + out) == EXIT_USAGE, command
+        assert main([command, "--config", str(config)] + out) == EXIT_USAGE, command
     assert main(["verify", "--dims", "1", "1"] + out) == EXIT_USAGE
     for command in ("verify", "solve", "compare-kg", "audit"):
         assert main([command, "--out", ""]) == EXIT_USAGE, command

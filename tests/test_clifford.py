@@ -100,11 +100,3 @@ def test_rejects_bad_dimension():
         build_gamma(-2)
     with pytest.raises(ValueError):
         build_gamma(21)  # spinor blocks beyond the 1024 cap
-
-
-def test_json_export_roundtrip_values():
-    g = build_gamma(2)
-    doc = g.to_json_dict()
-    re0 = np.array([[c[0] for c in row] for row in doc["gamma"][0]])
-    im0 = np.array([[c[1] for c in row] for row in doc["gamma"][0]])
-    assert np.array_equal(re0 + 1j * im0, g.gamma[0])

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from spintorus.clifford import build_gamma
 from spintorus.fieldio import load_field, load_trajectory, save_field, save_trajectory
 from spintorus.spectral import FrequencyLattice, Trajectory, random_field
 
@@ -59,10 +58,3 @@ def test_trajectory_roundtrip(tmp_path, rng):
         manifest = json.load(fh)
     assert manifest["note"] == "test"
     assert manifest["n_frames"] == 4
-
-
-def test_gamma_json_export():
-    g = build_gamma(3)
-    doc = g.to_json_dict()
-    assert doc["d0"] == 4 and len(doc["gamma"]) == 4
-    json.dumps(doc)  # serialisable as-is

@@ -1,18 +1,32 @@
 """Structural guards on the package source, read with ``ast`` only.
 
+Live code is the package's modules, ``perfbench/`` and the acceptance suite.
+
 * Every public top-level function or class of ``src/spintorus`` is reached
   from ``perfbench/``, the acceptance suite or the package's module-level
   code, following the definitions that use it, or it is on ``KEPT`` with the
   reason it stays.  A helper of live code counts as used; a helper that only
   dead code calls does not.
+* Every public method and property of a package class is read as an
+  attribute (``x.name``) somewhere in live code, or it is on ``KEPT`` as
+  ``module.Class.member``.  Reads are matched by name only, so a member that
+  shares its name with one read elsewhere (``copy``) passes;
+  ``__post_init__`` and operator dunders are not checked.
+* Every defaulted parameter of a top-level package function is passed, by
+  keyword or by position, by at least one live call, unless the function is
+  on ``KEPT``: a default that no caller overrides is a constant.
 * No module-level import of ``src/spintorus`` goes unused.
 """
 
 import ast
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spintorus"
+EXTERNAL = sorted((ROOT / "perfbench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Public names that nothing reaches, and why they stay.  What they use counts
 # as reached.
@@ -36,13 +50,12 @@ def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _modules() -> dict:
-    return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+def _modules(package: pathlib.Path) -> dict:
+    return {p.stem: _parse(p) for p in sorted(package.glob("*.py"))}
 
 
 def _public_definitions(tree: ast.Module) -> list:
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [n.name for n in tree.body if isinstance(n, kinds) and not n.name.startswith("_")]
+    return [n.name for n in tree.body if isinstance(n, DEFINITIONS) and not n.name.startswith("_")]
 
 
 def _package_module(module: str | None, level: int, in_package: bool) -> str | None:
@@ -75,46 +88,60 @@ def _import_map(tree: ast.Module, in_package: bool) -> tuple[dict, dict]:
     return names, modules
 
 
+def _live_files(package: pathlib.Path, external: list) -> list:
+    """(module or None, tree, names, modules) for every file of live code; a
+    package module's names include its own top-level definitions."""
+    out = []
+    for mod, tree in _modules(package).items():
+        names, modules = _import_map(tree, True)
+        names.update({n.name: (mod, n.name) for n in tree.body if isinstance(n, DEFINITIONS)})
+        out.append((mod, tree, names, modules))
+    for path in external:
+        tree = _parse(path)
+        out.append((None, tree, *_import_map(tree, False)))
+    return out
+
+
+def _resolve(node, names: dict, modules: dict):
+    """(module, object) that a Name or Attribute node names, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            return (modules[base.id], node.attr)
+        if (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                and base.value.id == "spintorus"):
+            return (base.attr, node.attr)
+    return None
+
+
 def _uses(node, names: dict, modules: dict) -> set:
     """(module, object) pairs that the code under ``node`` reads."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in names:
-            found.add(names[sub.id])
-        elif isinstance(sub, ast.Attribute):
-            base = sub.value
-            if isinstance(base, ast.Name) and base.id in modules:
-                found.add((modules[base.id], sub.attr))
-            elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
-                  and base.value.id == "spintorus"):
-                found.add((base.attr, sub.attr))
-        elif isinstance(sub, ast.alias) and sub.name in names:
+        if isinstance(sub, ast.alias) and sub.name in names:
             found.add(names[sub.name])
-    return found
+        else:
+            found.add(_resolve(sub, names, modules))
+    return found - {None}
 
 
-def _reached(kept=()) -> set:
-    """Top-level package objects reached from perfbench, the acceptance suite,
-    module-level package code and the ``kept`` names, following definitions
-    transitively: a helper counts when live code calls it, not when dead code
-    does."""
+def _reached(package: pathlib.Path, external: list, kept=()) -> set:
+    """Top-level package objects reached from the external files, module-level
+    package code and the ``kept`` names, following definitions transitively:
+    a helper counts when live code calls it, not when dead code does."""
     roots = {tuple(name.split(".")) for name in kept}
     edges = {}
-    for mod, tree in _modules().items():
-        names, modules = _import_map(tree, True)
+    for mod, tree, names, modules in _live_files(package, external):
+        if mod is None:
+            roots |= _uses(tree, names, modules)
+            continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names[node.name] = (mod, node.name)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFINITIONS):
                 edges[(mod, node.name)] = _uses(node, names, modules)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _uses(node, names, modules)
-    external = sorted((ROOT / "perfbench").rglob("*.py"))
-    external.append(ROOT / "tests" / "test_acceptance.py")
-    for path in external:
-        tree = _parse(path)
-        roots |= _uses(tree, *_import_map(tree, False))
     seen, todo = set(), list(roots)
     while todo:
         item = todo.pop()
@@ -124,14 +151,111 @@ def _reached(kept=()) -> set:
     return {f"{mod}.{name}" for mod, name in seen}
 
 
+def _unread_members(package: pathlib.Path, external: list) -> list:
+    """Public methods and properties of package classes that live code never
+    reads as an attribute, as "module.Class.member"."""
+    read = {node.attr for _, tree, _, _ in _live_files(package, external)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{mod}.{cls.name}.{fn.name}"
+                  for mod, tree in _modules(package).items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, FUNCTIONS) and not fn.name.startswith("_")
+                  and fn.name not in read)
+
+
+def _defaulted(fn) -> list:
+    """(name, position) of each parameter of ``fn`` that has a default; the
+    position is None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
+    """Defaulted parameters of top-level package functions that no live call
+    passes, as "module.function(parameter)"; functions on ``kept`` are
+    skipped.  A ``*`` or ``**`` argument counts as passing every parameter it
+    could fill."""
+    functions = {(mod, fn.name): fn for mod, tree in _modules(package).items()
+                 for fn in tree.body if isinstance(fn, FUNCTIONS)}
+    passed = set()
+    for _, tree, names, modules in _live_files(package, external):
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            target = _resolve(call.func, names, modules)
+            if target not in functions:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            n_positional = math.inf if starred else len(call.args)
+            keywords = {k.arg for k in call.keywords}  # None stands for **
+            for name, position in _defaulted(functions[target]):
+                if (name in keywords or None in keywords
+                        or (position is not None and position < n_positional)):
+                    passed.add((target, name))
+    return sorted(f"{mod}.{name}({param})"
+                  for (mod, name), fn in functions.items() if f"{mod}.{name}" not in kept
+                  for param, _ in _defaulted(fn) if ((mod, name), param) not in passed)
+
+
 def test_every_public_name_has_a_user_or_a_reason():
-    defined = {f"{mod}.{name}" for mod, tree in _modules().items()
+    defined = {f"{mod}.{name}" for mod, tree in _modules(PACKAGE).items()
                for name in _public_definitions(tree)}
-    unused = sorted(defined - _reached(KEPT) - set(KEPT))
+    unused = sorted(defined - _reached(PACKAGE, EXTERNAL, KEPT) - set(KEPT))
     assert not unused, f"public names nothing reaches and KEPT does not list: {unused}"
-    reached = _reached()
-    stale = sorted(name for name in KEPT if name not in defined or name in reached)
+    reached = _reached(PACKAGE, EXTERNAL)
+    stale = sorted(name for name in KEPT if name.count(".") == 1
+                   and (name not in defined or name in reached))
     assert not stale, f"KEPT entries that are gone or now reached: {stale}"
+
+
+def test_every_public_member_is_read_or_has_a_reason():
+    unread = _unread_members(PACKAGE, EXTERNAL)
+    missing = [m for m in unread if m not in KEPT]
+    assert not missing, f"members live code never reads and KEPT does not list: {missing}"
+    stale = sorted(name for name in KEPT if name.count(".") == 2 and name not in unread)
+    assert not stale, f"KEPT members that are gone or now read: {stale}"
+
+
+def test_every_default_is_passed_by_a_live_call():
+    unset = _unset_parameters(PACKAGE, EXTERNAL, KEPT)
+    assert not unset, f"defaulted parameters no live call passes: {unset}"
+
+
+SYNTHETIC = '''
+class Box:
+    def used(self):
+        return 1
+
+    def unread(self):
+        return 2
+
+
+def scale(x, factor=2.0, shift=0.0):
+    return factor * x + shift
+
+
+TOTAL = scale(Box().used())
+'''
+
+
+def test_rules_report_a_synthetic_package(tmp_path):
+    package = tmp_path / "spintorus"
+    package.mkdir()
+    (package / "box.py").write_text(SYNTHETIC)
+    callers = [tmp_path / "by_module.py", tmp_path / "by_name.py"]
+    for path in callers:
+        path.write_text("")
+    assert _unread_members(package, callers) == ["box.Box.unread"]
+    assert _unset_parameters(package, callers) == ["box.scale(factor)", "box.scale(shift)"]
+    assert _unset_parameters(package, callers, kept={"box.scale": "exempt"}) == []
+    # the same code with a live reader and live callers, by position and keyword
+    callers[0].write_text("from spintorus import box\n\nbox.Box().unread()\nbox.scale(1.0, 3.0)\n")
+    callers[1].write_text("from spintorus.box import scale\n\nscale(1.0, shift=1.0)\n")
+    assert _unread_members(package, callers) == []
+    assert _unset_parameters(package, callers) == []
 
 
 def _bound_names(node) -> list:
@@ -144,7 +268,7 @@ def _bound_names(node) -> list:
 
 def test_no_unused_module_imports():
     problems = []
-    for name, tree in _modules().items():
+    for name, tree in _modules(PACKAGE).items():
         imported = [n for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                     for n in _bound_names(node)]
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
