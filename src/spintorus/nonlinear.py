@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,6 @@ class PowerSeriesNonlinearity:
 
     d0: int
     terms: dict  # multi-index tuple -> ndarray (d0,)
-    vanishes_at_zero: bool = True
     tail_ratio: float | None = None
 
     def __post_init__(self):
@@ -43,7 +42,7 @@ class PowerSeriesNonlinearity:
             if np.any(c != 0):
                 clean[p] = c
         self.terms = clean
-        if self.vanishes_at_zero and (0,) * self.d0 in self.terms:
+        if (0,) * self.d0 in self.terms:
             raise ValueError("constant term present but the series must vanish at 0")
         # the support evaluate and jacobian work from: per term, its
         # (component, exponent) factors and its (a, c_a) pairs with c_a != 0
@@ -165,7 +164,7 @@ def _powers(psi: np.ndarray, top: int) -> list:
 
 def _monomial(powers: list, factors, scale=None):
     """Product of the (component, exponent) factors read from ``powers``,
-    times ``scale`` when given; None for a constant monomial."""
+    times ``scale`` when given."""
     mono = scale
     for k, e in factors:
         mono = powers[e][..., k] if mono is None else mono * powers[e][..., k]
@@ -187,7 +186,7 @@ def evaluate(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     for factors, coeffs in F._support:
         mono = _monomial(powers, factors)
         for a, c in coeffs:
-            out[..., a] += c if mono is None else c * mono  # None: constant term
+            out[..., a] += c * mono
     return out
 
 
@@ -340,12 +339,12 @@ class GrowthAuditReport:
     d0: int
     constant: float
     threshold: float
-    direct: dict = field(default_factory=dict)  # r -> B_r
-    difference: dict = field(default_factory=dict)  # r -> A_r
-    roots: dict = field(default_factory=dict)  # r -> max(B_r, A_r)^(1/r)
-    tail_ratio: float | None = None
-    proxy: float = 0.0
-    passed: bool = True
+    direct: dict  # r -> B_r
+    difference: dict  # r -> A_r
+    roots: dict  # r -> max(B_r, A_r)^(1/r)
+    tail_ratio: float | None
+    proxy: float
+    passed: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -436,35 +435,28 @@ def growth_audit(
     if g.d0 != F.d0:
         raise ValueError("gamma set and series spinor dimensions differ")
     tail = tail_ratio if tail_ratio is not None else F.tail_ratio
-    report = GrowthAuditReport(
-        d=g.d,
-        d0=g.d0,
-        constant=float(constant),
-        threshold=growth_threshold(constant, g.d),
-        tail_ratio=tail,
-    )
+    threshold = growth_threshold(constant, g.d)
+    direct, difference = {}, {}
     for p, c in F.terms.items():
         r = sum(p)
-        if r < 1:
-            continue
         w = matrix_weights(g, c)
-        bq = direct_quantity(p, w)
-        report.direct[r] = max(report.direct.get(r, 0.0), bq)
+        direct[r] = max(direct.get(r, 0.0), direct_quantity(p, w))
         for i in range(1, F.d0 + 1):
             if p[i - 1] == 0:
                 continue
             aq = difference_quantity(p, i, w)
-            rq = r - 1
-            report.difference[rq] = max(report.difference.get(rq, 0.0), aq)
-    for r in sorted(set(report.direct) | set(report.difference)):
+            difference[r - 1] = max(difference.get(r - 1, 0.0), aq)
+    roots = {}
+    for r in sorted(set(direct) | set(difference)):
         if r < 1:
             continue
-        worst = max(report.direct.get(r, 0.0), report.difference.get(r, 0.0))
+        worst = max(direct.get(r, 0.0), difference.get(r, 0.0))
         if worst > 0.0:
-            report.roots[r] = worst ** (1.0 / r)
+            roots[r] = worst ** (1.0 / r)
     # The audited statement is asymptotic: a finite series has vanishing
     # tail quantities, so only a declared tail makes the represented-degree
     # roots speak for the limit.
-    report.proxy = max(report.roots.values(), default=0.0) if tail is not None else 0.0
-    report.passed = report.proxy < report.threshold
-    return report
+    proxy = max(roots.values(), default=0.0) if tail is not None else 0.0
+    return GrowthAuditReport(d=g.d, d0=g.d0, constant=float(constant), threshold=threshold,
+                             direct=direct, difference=difference, roots=roots,
+                             tail_ratio=tail, proxy=proxy, passed=proxy < threshold)

@@ -306,7 +306,6 @@ def measure_bernstein_constant(
                 ratio = sym[mask].max() / 2.0 ** (order * j)
                 c_det = max(c_det, ratio ** (1.0 / (order + 1)))
     violations = 0
-    worst_ratio = 0.0
     d0 = 1
     # n_random = 0 draws nothing: only the deterministic c_meas is wanted
     per_scale = max(1, n_random // max(1, len(scales))) if n_random > 0 else 0
@@ -324,15 +323,8 @@ def measure_bernstein_constant(
         if not fields:
             continue
         ratios = bernstein_ratios(np.array(fields), lattice, j, alphas)
-        worst_ratio = max(worst_ratio, float((ratios / bound).max()))
         violations += int(np.count_nonzero(ratios > bound * (1.0 + 1e-12)))
-    return {
-        "c_meas": float(c_det),
-        "violations": int(violations),
-        "worst_ratio_fraction": float(worst_ratio),
-        "scales": scales,
-        "max_order": max_order,
-    }
+    return {"c_meas": float(c_det), "violations": int(violations)}
 
 
 # ---------------------------------------------------------------------------

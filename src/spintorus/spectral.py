@@ -12,12 +12,17 @@ Conventions (used consistently across the package):
   scaled by 1/n, the inverse is unscaled.
 * L^q norms on the torus use the normalised measure dx/(2pi)^d.
 * ``to_grid`` / ``from_grid`` are the one place where coefficients are placed
-  on (and truncated from) a padded spatial grid and where the FFT backend is
+  on (and truncated from) a padded spatial grid and where the transform is
   chosen; every other module goes through them.  Both work one spatial axis
-  at a time with 1-D FFTs: ``to_grid`` pads an axis and transforms only the
-  lines the coefficient box still spans, ``from_grid`` transforms an axis and
-  keeps only the lattice rows before the next, so no FFT runs over a line
-  that is known to be zero or is thrown away (a pruned FFT).
+  at a time on a (pre, n, post) view of the array.  An axis of at most
+  ``DENSE_MAX_GRID`` grid points is one product with a cached dense DFT
+  matrix, (grid x n) onto the grid or (n x grid) back to the lattice rows,
+  so no zero padding is stored or transformed and no row that is thrown away
+  is computed.  A longer axis is padded and inverse-transformed by a 1-D FFT
+  or transformed and cut to the lattice rows, because there the FFT's
+  n log n wins.  ``to_grid`` starts at the innermost axis and ``from_grid``
+  at the outermost, so the full grid meets one large product per frame
+  rather than many small ones.
 * A per-frequency spinor matrix (the half-wave projector, a propagator) is a
   plain array of shape lattice.shape + (d0, d0), applied by
   ``apply_matrices``; a constant matrix M applies as ``x @ M.T``.
@@ -25,6 +30,7 @@ Conventions (used consistently across the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,9 +180,58 @@ def random_field(
 # transforms
 
 
-def _span(ax: int, start: int, stop: int) -> tuple:
-    """Index of the slice start:stop along the negative axis ``ax``."""
-    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-ax - 1)
+# Longest grid axis that is transformed by a dense matrix; a longer one goes
+# through numpy's FFT.  Set from the round trip of 257-frame d = 1 batches,
+# where the dense path loses to the FFT on most axes above 257 points and
+# wins on most below (see README).
+DENSE_MAX_GRID = 257
+
+
+@lru_cache(maxsize=64)
+def _synthesis_matrix(n: int, grid: int) -> np.ndarray:
+    """(grid, n) matrix summing a box axis of length n (index i at frequency
+    i - n//2) on ``grid`` points: numpy's inverse FFT of the placed unit
+    vectors, so it holds the FFT's own twiddles."""
+    spec = np.zeros((n, grid), dtype=np.complex128)
+    spec[np.arange(n), (np.arange(n) - n // 2) % grid] = 1.0
+    mat = np.ascontiguousarray(np.fft.ifft(spec, norm="forward").T)
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=64)
+def _analysis_matrix(grid: int, radius: int) -> np.ndarray:
+    """(2 radius + 1, grid) matrix taking ``grid`` samples to the lattice
+    rows -radius..radius: the forward FFT of the identity, cut to those rows."""
+    rows = np.arange(-radius, radius + 1) % grid
+    mat = np.ascontiguousarray(np.fft.fft(np.eye(grid), axis=0, norm="forward")[rows])
+    mat.flags.writeable = False
+    return mat
+
+
+def _transform_axis(values: np.ndarray, ax: int, grid: int, radius: int | None) -> np.ndarray:
+    """Transform the negative axis ``ax`` of ``values``: onto ``grid`` points
+    when ``radius`` is None (``to_grid``), else from its grid to the lattice
+    rows (``from_grid``).  The axis is the middle one of a (pre, n, post)
+    view; up to ``DENSE_MAX_GRID`` points it is one cached-matrix product,
+    above that a padded or cut 1-D FFT."""
+    shape = values.shape
+    n = shape[ax]
+    lines = values.reshape(math.prod(shape[:ax]), n, math.prod(shape[ax + 1 :]))
+    if grid <= DENSE_MAX_GRID:
+        mat = _synthesis_matrix(n, grid) if radius is None else _analysis_matrix(grid, radius)
+        out = mat @ lines
+    elif radius is None:
+        # frequencies 0..n-h-1 at the start of the axis, -h..-1 at its end
+        h = n // 2
+        spec = np.zeros((lines.shape[0], grid, lines.shape[2]), dtype=np.complex128)
+        spec[:, : n - h] = lines[:, h:]
+        spec[:, grid - h :] = lines[:, :h]
+        out = np.fft.ifft(spec, axis=1, norm="forward")
+    else:
+        spec = np.fft.fft(lines, axis=1, norm="forward")
+        out = np.concatenate((spec[:, grid - radius :], spec[:, : radius + 1]), axis=1)
+    return out.reshape(shape[:ax] + (out.shape[1],) + shape[ax + 1 :])
 
 
 def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
@@ -184,23 +239,16 @@ def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
 
     ``coeffs`` has shape batch + box + (d0,) with d box axes; index i of a box
     axis of length n sits at frequency i - n//2.  Any number of leading batch
-    axes is transformed at once.  The axes are padded and transformed one at
-    a time, so each 1-D transform runs only over the lines that the box still
-    spans on the axes not yet transformed.
+    axes is transformed at once.  The axes are transformed one at a time,
+    innermost first, so each transform runs only over the lines that the box
+    still spans on the axes not yet transformed.
     """
     if max(coeffs.shape[-d - 1 : -1]) > grid:
         raise ValueError(f"grid with {grid} points per axis aliases a "
                          f"{coeffs.shape[-d - 1 : -1]} box")
     values = coeffs
     for ax in range(-2, -d - 2, -1):
-        n = values.shape[ax]
-        h = n // 2
-        spec = np.zeros(values.shape[:ax] + (grid,) + values.shape[ax + 1 :],
-                        dtype=np.complex128)
-        # frequencies 0..n-h-1 at the start of the axis, -h..-1 at its end
-        spec[_span(ax, 0, n - h)] = values[_span(ax, h, n)]
-        spec[_span(ax, grid - h, grid)] = values[_span(ax, 0, h)]
-        values = np.fft.ifft(spec, axis=ax, norm="forward")
+        values = _transform_axis(values, ax, grid, None)
     return values
 
 
@@ -209,19 +257,16 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     lattice (the inverse of ``to_grid`` on band-limited fields).
 
     ``values`` has shape batch + (grid,)*d + (d0,); the batch axes are kept.
-    Each axis is transformed and cut to the lattice rows before the next, so
-    later transforms run only over lattice lines.
+    Each axis is transformed and cut to the lattice rows before the next,
+    outermost first, so later transforms run only over lattice lines.
     """
-    n = 2 * radius + 1
-    if values.shape[-2] < n:
-        raise ValueError(f"grid with {values.shape[-2]} points per axis aliases "
+    grid = values.shape[-2]
+    if grid < 2 * radius + 1:
+        raise ValueError(f"grid with {grid} points per axis aliases "
                          f"a radius-{radius} lattice")
     coeffs = values
-    for ax in range(-2, -d - 2, -1):
-        grid = coeffs.shape[ax]
-        spec = np.fft.fft(coeffs, axis=ax, norm="forward")
-        coeffs = np.concatenate((spec[_span(ax, grid - radius, grid)],
-                                 spec[_span(ax, 0, n - radius)]), axis=ax)
+    for ax in range(-d - 1, -1):
+        coeffs = _transform_axis(coeffs, ax, grid, radius)
     return coeffs
 
 

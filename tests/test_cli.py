@@ -256,7 +256,8 @@ def test_usage_exit_on_bad_flag(tmp_path):
     for bad in ('[{"p": [2.5, 0], "c": [[1, 0], [0, 0]]}]',
                 '[{"p": [true, 2], "c": [[1, 0], [0, 0]]}]',
                 '[{"p": ["3", 0], "c": [[1, 0], [0, 0]]}]',
-                '{"terms": [{"p": [3, 0], "c": [[1, 0], [0, 0]]}], "tail_ratio": true}'):
+                '{"terms": [{"p": [3, 0], "c": [[1, 0], [0, 0]]}], "tail_ratio": true}',
+                '[{"p": [0, 0], "c": [[1, 0], [0, 0]]}]'):  # a constant term
         series.write_text(bad)
         assert main(["audit", "--nonlinearity", str(series)] + out) == EXIT_USAGE, bad
     # a coefficient list shorter than d0, and a bool coefficient part

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spintorus
+from spintorus import spectral
 from spintorus.clifford import build_gamma
 from spintorus.spectral import (
     FrequencyLattice,
@@ -135,8 +136,11 @@ def _dense_dft(box_shape, grid):
     return np.exp(1j * (x @ xi.T))
 
 
-# (batch, box, grid): d = 1, 2, 3; odd boxes and one even; 0, 1 and 2 batch
-# axes; grid equal to the box and larger than it
+LONG = spectral.DENSE_MAX_GRID + 1  # the shortest axis that goes through the FFT
+
+# (batch, box, grid): d = 1, 2, 3; odd and even box lengths, boxes shorter
+# than the grid and uneven boxes; 0, 1 and 2 batch axes; grid equal to the
+# box and larger than it; axes on both sides of DENSE_MAX_GRID at d = 1, 2
 TRANSFORM_CASES = [
     ((), (7,), 7),
     ((3,), (9,), 20),
@@ -146,6 +150,11 @@ TRANSFORM_CASES = [
     ((2, 3), (5, 5, 5), 5),
     ((3,), (3, 5, 3), 7),
     ((), (4, 5, 3), 9),
+    ((2,), (33,), LONG - 1),
+    ((2,), (33,), LONG),
+    ((), (40,), LONG + 4),
+    ((), (3, 4), LONG - 1),
+    ((), (5, 2), LONG + 1),
 ]
 
 
@@ -160,14 +169,23 @@ def test_to_grid_matches_dense_dft(rng, batch, box, grid):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("batch, d, radius, grid", [
+FROM_GRID_CASES = [
     ((), 1, 3, 7),
     ((3,), 1, 4, 20),
     ((2, 2), 2, 2, 5),
     ((2,), 2, 2, 9),
     ((2, 3), 3, 2, 5),
     ((), 3, 1, 8),
-])
+    ((2,), 3, 2, 6),
+    ((2,), 1, 16, LONG - 1),
+    ((3,), 1, 16, LONG),
+    ((), 1, 20, LONG + 3),
+    ((), 2, 1, LONG - 1),
+    ((), 2, 2, LONG),
+]
+
+
+@pytest.mark.parametrize("batch, d, radius, grid", FROM_GRID_CASES)
 def test_from_grid_matches_dense_dft(rng, batch, d, radius, grid):
     d0, box = 2, (2 * radius + 1,) * d
     values = rng.standard_normal(batch + (grid,) * d + (d0,)) + 0.5j
@@ -181,6 +199,45 @@ def test_from_grid_matches_dense_dft(rng, batch, d, radius, grid):
     coeffs = rng.standard_normal(out.shape) + 1j * rng.standard_normal(out.shape)
     back = from_grid(to_grid(coeffs, d, grid), d, radius)
     assert np.abs(back - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+
+
+@pytest.mark.parametrize("batch, box, grid", TRANSFORM_CASES)
+def test_fft_branch_to_grid_matches_dense_dft(rng, monkeypatch, batch, box, grid):
+    # every axis through the FFT, however short
+    monkeypatch.setattr(spectral, "DENSE_MAX_GRID", 0)
+    test_to_grid_matches_dense_dft(rng, batch, box, grid)
+
+
+@pytest.mark.parametrize("batch, d, radius, grid", FROM_GRID_CASES)
+def test_fft_branch_from_grid_matches_dense_dft(rng, monkeypatch, batch, d, radius, grid):
+    monkeypatch.setattr(spectral, "DENSE_MAX_GRID", 0)
+    test_from_grid_matches_dense_dft(rng, batch, d, radius, grid)
+
+
+@pytest.mark.parametrize("d, radius, batch", [(3, 8, 5), (1, 16, 257), (2, 10, 7),
+                                              (1, 32, 257), (1, 80, 9)])
+def test_batched_transforms_are_bit_identical_per_frame(rng, d, radius, batch):
+    # the padded grid of the cubic, so that the frames of a trajectory come
+    # out the same however the nonlinearity chunks them (criterion 11);
+    # radius 80 puts the grid above DENSE_MAX_GRID
+    grid = 4 * radius + 1
+    shape = (batch,) + (2 * radius + 1,) * d + (2,)
+    frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = to_grid(frames, d, grid)
+    coeffs = from_grid(values, d, radius)
+    for k in range(batch):
+        assert np.array_equal(values[k], to_grid(frames[k], d, grid))
+        assert np.array_equal(coeffs[k], from_grid(values[k], d, radius))
+
+
+def test_transform_matrices_are_cached_and_read_only():
+    for build, args in ((spectral._synthesis_matrix, (5, 12)),
+                        (spectral._analysis_matrix, (12, 2))):
+        mat = build(*args)
+        assert build(*args) is mat
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("mats_shape, x_shape", [

@@ -14,7 +14,10 @@ Live code is the package's modules, ``perfbench/`` and the acceptance suite.
   ``__post_init__`` and operator dunders are not checked.
 * Every defaulted parameter of a top-level package function is passed, by
   keyword or by position, by at least one live call, unless the function is
-  on ``KEPT``: a default that no caller overrides is a constant.
+  on ``KEPT``: a default that no caller overrides is a constant.  The same
+  holds for the defaulted public fields of a package dataclass, which a live
+  call may also set through ``dataclasses.replace``, or live code by
+  assigning the attribute (matched by name only).
 * No module-level import of ``src/spintorus`` goes unused.
 """
 
@@ -165,10 +168,22 @@ def _unread_members(package: pathlib.Path, external: list) -> list:
                   and fn.name not in read)
 
 
-def _defaulted(fn) -> list:
-    """(name, position) of each parameter of ``fn`` that has a default; the
-    position is None for a keyword-only parameter."""
-    args = fn.args
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+        for d in (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list))
+
+
+def _defaulted(node) -> list:
+    """(name, position) of each defaulted parameter of a function, or of each
+    defaulted public field of a dataclass (its position among the fields);
+    the position is None for a keyword-only parameter."""
+    if isinstance(node, ast.ClassDef):
+        fields = [n for n in node.body
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        return [(f.target.id, i) for i, f in enumerate(fields)
+                if f.value is not None and not f.target.id.startswith("_")]
+    args = node.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
     return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
@@ -177,27 +192,44 @@ def _defaulted(fn) -> list:
 
 def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
     """Defaulted parameters of top-level package functions that no live call
-    passes, as "module.function(parameter)"; functions on ``kept`` are
-    skipped.  A ``*`` or ``**`` argument counts as passing every parameter it
-    could fill."""
-    functions = {(mod, fn.name): fn for mod, tree in _modules(package).items()
-                 for fn in tree.body if isinstance(fn, FUNCTIONS)}
-    passed = set()
+    passes, as "module.function(parameter)", and defaulted public fields of
+    package dataclasses that no live call sets and no live code assigns as
+    an attribute, as "module.Class.field"; names on ``kept`` are skipped.  A
+    ``*`` or ``**`` argument counts as passing every parameter it could
+    fill, and ``dataclasses.replace`` sets its keywords on every dataclass."""
+    targets = {(mod, node.name): node for mod, tree in _modules(package).items()
+               for node in tree.body if isinstance(node, FUNCTIONS) or _is_dataclass(node)}
+    passed, stored, replaced = set(), set(), set()
     for _, tree, names, modules in _live_files(package, external):
-        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-            target = _resolve(call.func, names, modules)
-            if target not in functions:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+            if not isinstance(node, ast.Call):
                 continue
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            n_positional = math.inf if starred else len(call.args)
-            keywords = {k.arg for k in call.keywords}  # None stands for **
-            for name, position in _defaulted(functions[target]):
+            keywords = {k.arg for k in node.keywords}  # None stands for **
+            if ast.unparse(node.func) in ("replace", "dataclasses.replace"):
+                replaced |= keywords
+            target = _resolve(node.func, names, modules)
+            if target not in targets:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_positional = math.inf if starred else len(node.args)
+            for name, position in _defaulted(targets[target]):
                 if (name in keywords or None in keywords
                         or (position is not None and position < n_positional)):
                     passed.add((target, name))
-    return sorted(f"{mod}.{name}({param})"
-                  for (mod, name), fn in functions.items() if f"{mod}.{name}" not in kept
-                  for param, _ in _defaulted(fn) if ((mod, name), param) not in passed)
+    unset = []
+    for (mod, name), node in targets.items():
+        for param, _ in _defaulted(node):
+            if ((mod, name), param) in passed:
+                continue
+            if isinstance(node, ast.ClassDef):
+                label = f"{mod}.{name}.{param}"
+                if param not in stored | replaced and label not in kept:
+                    unset.append(label)
+            elif f"{mod}.{name}" not in kept:
+                unset.append(f"{mod}.{name}({param})")
+    return sorted(unset)
 
 
 def test_every_public_name_has_a_user_or_a_reason():
@@ -225,6 +257,16 @@ def test_every_default_is_passed_by_a_live_call():
 
 
 SYNTHETIC = '''
+from dataclasses import dataclass
+
+
+@dataclass
+class Limits:
+    size: int
+    label: str = ""
+    strict: bool = False
+
+
 class Box:
     def used(self):
         return 1
@@ -238,6 +280,7 @@ def scale(x, factor=2.0, shift=0.0):
 
 
 TOTAL = scale(Box().used())
+LIMITS = Limits(3, "three")
 '''
 
 
@@ -249,10 +292,15 @@ def test_rules_report_a_synthetic_package(tmp_path):
     for path in callers:
         path.write_text("")
     assert _unread_members(package, callers) == ["box.Box.unread"]
-    assert _unset_parameters(package, callers) == ["box.scale(factor)", "box.scale(shift)"]
-    assert _unset_parameters(package, callers, kept={"box.scale": "exempt"}) == []
-    # the same code with a live reader and live callers, by position and keyword
-    callers[0].write_text("from spintorus import box\n\nbox.Box().unread()\nbox.scale(1.0, 3.0)\n")
+    # label is set by position; nothing sets strict
+    assert _unset_parameters(package, callers) == [
+        "box.Limits.strict", "box.scale(factor)", "box.scale(shift)"]
+    kept = {"box.scale": "exempt", "box.Limits.strict": "exempt"}
+    assert _unset_parameters(package, callers, kept=kept) == []
+    # the same code with a live reader and live callers, by position and
+    # keyword, and a live attribute assignment
+    callers[0].write_text("from spintorus import box\n\nbox.Box().unread()\nbox.scale(1.0, 3.0)\n"
+                          "box.LIMITS.strict = True\n")
     callers[1].write_text("from spintorus.box import scale\n\nscale(1.0, shift=1.0)\n")
     assert _unread_members(package, callers) == []
     assert _unset_parameters(package, callers) == []
