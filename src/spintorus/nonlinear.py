@@ -45,12 +45,18 @@ class PowerSeriesNonlinearity:
         if (0,) * self.d0 in self.terms:
             raise ValueError("constant term present but the series must vanish at 0")
         # the support evaluate and jacobian work from: per term, its
-        # (component, exponent) factors and its (a, c_a) pairs with c_a != 0
-        self._support = [
-            ([(k, e) for k, e in enumerate(p) if e],
-             [(a, c[a]) for a in np.flatnonzero(c)])
-            for p, c in self.terms.items()
-        ]
+        # (component, exponent) factors and its (a, c_a, first) triples with
+        # c_a != 0, where first marks the first term that writes component a;
+        # evaluate zeroes the components that no term writes
+        written = set()
+        self._support = []
+        for p, c in self.terms.items():
+            pairs = []
+            for a in np.flatnonzero(c):
+                pairs.append((a, c[a], a not in written))
+                written.add(a)
+            self._support.append(([(k, e) for k, e in enumerate(p) if e], pairs))
+        self._unwritten = [a for a in range(self.d0) if a not in written]
         self._top = max((e for factors, _ in self._support for _, e in factors),
                         default=0)
 
@@ -176,17 +182,23 @@ def evaluate(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
 
     Each power of psi is formed once and every monomial is read from it;
     a monomial is added only to the components where its coefficient is
-    nonzero.
+    nonzero.  The result has the memory layout of psi, so on a
+    component-major grid every power and monomial reads contiguous planes.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1] != F.d0:
         raise ValueError("value has the wrong number of spinor components")
-    out = np.zeros(psi.shape, dtype=np.complex128)
+    out = np.empty_like(psi)
     powers = _powers(psi, F._top)
     for factors, coeffs in F._support:
         mono = _monomial(powers, factors)
-        for a, c in coeffs:
-            out[..., a] += c * mono
+        for a, c, first in coeffs:
+            if first:
+                np.multiply(c, mono, out=out[..., a])
+            else:
+                out[..., a] += c * mono
+    for a in F._unwritten:
+        out[..., a] = 0.0
     return out
 
 
@@ -200,7 +212,7 @@ def jacobian(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
             # d/dpsi_b lowers the factor psi_b^eb by one (drops it at eb = 1)
             lowered = [(k, e - (k == b)) for k, e in factors if (k, e) != (b, 1)]
             mono = _monomial(powers, lowered, float(eb))
-            for a, c in coeffs:
+            for a, c, _ in coeffs:
                 out[..., a, b] += c * mono
     return out
 

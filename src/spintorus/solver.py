@@ -34,6 +34,7 @@ from .spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    apply_constant,
     apply_matrices,
     from_grid,
     project_dirac,
@@ -153,7 +154,7 @@ def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
     ``total`` holds psi on the frames and ``proj_plus`` is Pi_+."""
-    fhat = evaluate_coefficients(F, total, lattice) @ g.beta.T
+    fhat = apply_constant(g.beta, evaluate_coefficients(F, total, lattice))
     plus = apply_matrices(proj_plus, fhat)
     fhat -= plus  # Pi_- = 1 - Pi_+
     out = {}
@@ -323,11 +324,11 @@ def second_order_data(
     v = np.zeros_like(coeffs)
     for j in range(g.d):
         dj = 1j * lattice.xi[..., j, None] * coeffs  # true derivative d/dx^j
-        v -= dj @ g.alpha[j].T
-    v -= 1j * mass * (coeffs @ g.beta.T)
+        v -= apply_constant(g.alpha[j], dj)
+    v -= 1j * mass * apply_constant(g.beta, coeffs)
     if F is not None and not F.is_zero():
         fc = evaluate_coefficients(F, coeffs, lattice)
-        v += 1j * (fc @ g.beta.T)
+        v += 1j * apply_constant(g.beta, fc)
     return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, v))
 
 
@@ -359,9 +360,9 @@ def _second_order_rhs(
     out = mass * fval
     inner = mass * psi - fval
     for j in range(d):
-        out += 1j * (apply_matrices(jac, derivs[j]) @ g.gamma[j + 1].T)
-        inner -= 1j * (derivs[j] @ g.gamma[j + 1].T)
-    out += apply_matrices(jac, inner @ gamma0.T) @ gamma0.T
+        out += 1j * apply_constant(g.gamma[j + 1], apply_matrices(jac, derivs[j]))
+        inner -= 1j * apply_constant(g.gamma[j + 1], derivs[j])
+    out += apply_constant(gamma0, apply_matrices(jac, apply_constant(gamma0, inner)))
     return from_grid(out, d, lattice.radius)
 
 
@@ -448,10 +449,10 @@ def dirac_residual(
     dt_psi = (tr.frames[2:] - tr.frames[:-2]) / (2.0 * dt)
     mid = tr.frames[1:-1]
     # i gamma^mu d_mu psi - m psi + F(psi)
-    res = 1j * (dt_psi @ g.gamma[0].T)
+    res = 1j * apply_constant(g.gamma[0], dt_psi)
     for j in range(g.d):
         dj = 1j * lattice.xi[..., j, None] * mid
-        res += 1j * (dj @ g.gamma[j + 1].T)
+        res += 1j * apply_constant(g.gamma[j + 1], dj)
     res -= mass * mid
     if F is not None and not F.is_zero():
         res += evaluate_coefficients(F, mid, lattice)

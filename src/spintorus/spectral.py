@@ -13,19 +13,25 @@ Conventions (used consistently across the package):
 * L^q norms on the torus use the normalised measure dx/(2pi)^d.
 * ``to_grid`` / ``from_grid`` are the one place where coefficients are placed
   on (and truncated from) a padded spatial grid and where the transform is
-  chosen; every other module goes through them.  Both work one spatial axis
-  at a time on a (pre, n, post) view of the array.  An axis of at most
-  ``DENSE_MAX_GRID`` grid points is one product with a cached dense DFT
-  matrix, (grid x n) onto the grid or (n x grid) back to the lattice rows,
-  so no zero padding is stored or transformed and no row that is thrown away
-  is computed.  A longer axis is padded and inverse-transformed by a 1-D FFT
-  or transformed and cut to the lattice rows, because there the FFT's
-  n log n wins.  ``to_grid`` starts at the innermost axis and ``from_grid``
-  at the outermost, so the full grid meets one large product per frame
-  rather than many small ones.
+  chosen; every other module goes through them.  Both rotate the axes
+  through the transform: each step contracts one spatial axis and moves it
+  to the other end of the array, so the array stays C-contiguous and each
+  step is one matrix product per batch item.  ``to_grid`` contracts the
+  leading box axis and appends the grid axis; ``from_grid`` contracts the
+  trailing grid axis and prepends the lattice axis.  An axis of at most
+  ``DENSE_MAX_GRID`` grid points is a product with a cached dense DFT
+  matrix, so no zero padding is stored or transformed and no row that is
+  thrown away is computed.  A longer axis is padded and inverse-transformed
+  by a 1-D FFT or transformed and cut to the lattice rows, because there the
+  FFT's n log n wins.
+* Padded grids are component-major: ``to_grid`` returns a view of
+  (batch, d0, grid, ..., grid) memory with shape batch + (grid,)*d + (d0,),
+  so each spinor component is a contiguous plane, and ``from_grid`` reads
+  its input in that order, without a copy when it comes from ``to_grid``.
 * A per-frequency spinor matrix (the half-wave projector, a propagator) is a
   plain array of shape lattice.shape + (d0, d0), applied by
-  ``apply_matrices``; a constant matrix M applies as ``x @ M.T``.
+  ``apply_matrices``; a constant matrix M applies by ``apply_constant``, as
+  one product over all points.
 """
 
 from __future__ import annotations
@@ -181,20 +187,21 @@ def random_field(
 
 
 # Longest grid axis that is transformed by a dense matrix; a longer one goes
-# through numpy's FFT.  Set from the round trip of 257-frame d = 1 batches,
-# where the dense path loses to the FFT on most axes above 257 points and
-# wins on most below (see README).
+# through numpy's FFT.  The dense path wins every single-frame axis up to
+# 321 points and every d >= 2 grid measured; 257-frame d = 1 batches favour
+# the FFT from 129 points up (see README).
 DENSE_MAX_GRID = 257
 
 
 @lru_cache(maxsize=64)
 def _synthesis_matrix(n: int, grid: int) -> np.ndarray:
-    """(grid, n) matrix summing a box axis of length n (index i at frequency
-    i - n//2) on ``grid`` points: numpy's inverse FFT of the placed unit
+    """(n, grid) matrix whose row i is a box axis's mode at frequency
+    i - n//2 on ``grid`` points, so a row vector of n coefficients times it
+    is their sum on the grid: numpy's inverse FFT of the placed unit
     vectors, so it holds the FFT's own twiddles."""
     spec = np.zeros((n, grid), dtype=np.complex128)
     spec[np.arange(n), (np.arange(n) - n // 2) % grid] = 1.0
-    mat = np.ascontiguousarray(np.fft.ifft(spec, norm="forward").T)
+    mat = np.fft.ifft(spec, norm="forward")
     mat.flags.writeable = False
     return mat
 
@@ -209,29 +216,28 @@ def _analysis_matrix(grid: int, radius: int) -> np.ndarray:
     return mat
 
 
-def _transform_axis(values: np.ndarray, ax: int, grid: int, radius: int | None) -> np.ndarray:
-    """Transform the negative axis ``ax`` of ``values``: onto ``grid`` points
-    when ``radius`` is None (``to_grid``), else from its grid to the lattice
-    rows (``from_grid``).  The axis is the middle one of a (pre, n, post)
-    view; up to ``DENSE_MAX_GRID`` points it is one cached-matrix product,
-    above that a padded or cut 1-D FFT."""
-    shape = values.shape
-    n = shape[ax]
-    lines = values.reshape(math.prod(shape[:ax]), n, math.prod(shape[ax + 1 :]))
+def _transform_axis(lines: np.ndarray, grid: int, radius: int | None) -> np.ndarray:
+    """One axis of a transform, rotated through the array.  ``to_grid``
+    (``radius`` None) passes a (b, n, R) array and gets its middle (box)
+    axis on ``grid`` points at the end, (b, R, grid); ``from_grid`` passes a
+    (b, L, grid) array and gets its trailing grid axis cut to
+    the lattice rows in the middle, (b, 2 radius + 1, L).  Both results are
+    C-contiguous.  Up to ``DENSE_MAX_GRID`` points the step is one
+    cached-matrix product per batch item, above it a padded or cut 1-D FFT."""
     if grid <= DENSE_MAX_GRID:
-        mat = _synthesis_matrix(n, grid) if radius is None else _analysis_matrix(grid, radius)
-        out = mat @ lines
-    elif radius is None:
+        if radius is None:
+            return lines.mT @ _synthesis_matrix(lines.shape[1], grid)
+        return _analysis_matrix(grid, radius) @ lines.mT
+    if radius is None:
         # frequencies 0..n-h-1 at the start of the axis, -h..-1 at its end
+        n = lines.shape[1]
         h = n // 2
-        spec = np.zeros((lines.shape[0], grid, lines.shape[2]), dtype=np.complex128)
-        spec[:, : n - h] = lines[:, h:]
-        spec[:, grid - h :] = lines[:, :h]
-        out = np.fft.ifft(spec, axis=1, norm="forward")
-    else:
-        spec = np.fft.fft(lines, axis=1, norm="forward")
-        out = np.concatenate((spec[:, grid - radius :], spec[:, : radius + 1]), axis=1)
-    return out.reshape(shape[:ax] + (out.shape[1],) + shape[ax + 1 :])
+        spec = np.zeros((lines.shape[0], lines.shape[2], grid), dtype=np.complex128)
+        spec[..., : n - h] = lines[:, h:].mT
+        spec[..., grid - h :] = lines[:, :h].mT
+        return np.fft.ifft(spec, axis=-1, norm="forward")
+    spec = np.fft.fft(lines, axis=-1, norm="forward")
+    return np.concatenate((spec[..., grid - radius :], spec[..., : radius + 1]), axis=-1).mT.copy()
 
 
 def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
@@ -239,17 +245,20 @@ def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
 
     ``coeffs`` has shape batch + box + (d0,) with d box axes; index i of a box
     axis of length n sits at frequency i - n//2.  Any number of leading batch
-    axes is transformed at once.  The axes are transformed one at a time,
-    innermost first, so each transform runs only over the lines that the box
-    still spans on the axes not yet transformed.
+    axes is transformed at once.  Each step transforms the leading box axis
+    and rotates it to the end, so after d steps the memory is
+    (batch, d0, grid, ..., grid): the padded grid is component-major.  The
+    result is a transposed view of it with shape batch + (grid,)*d + (d0,).
     """
-    if max(coeffs.shape[-d - 1 : -1]) > grid:
-        raise ValueError(f"grid with {grid} points per axis aliases a "
-                         f"{coeffs.shape[-d - 1 : -1]} box")
+    box = coeffs.shape[-d - 1 : -1]
+    if max(box) > grid:
+        raise ValueError(f"grid with {grid} points per axis aliases a {box} box")
+    batch, d0 = coeffs.shape[: -d - 1], coeffs.shape[-1]
+    b = math.prod(batch)
     values = coeffs
-    for ax in range(-2, -d - 2, -1):
-        values = _transform_axis(values, ax, grid, None)
-    return values
+    for n in box:
+        values = _transform_axis(values.reshape(b, n, -1), grid, None)
+    return values.reshape(b, d0, -1).mT.reshape(batch + (grid,) * d + (d0,))
 
 
 def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
@@ -257,17 +266,22 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     lattice (the inverse of ``to_grid`` on band-limited fields).
 
     ``values`` has shape batch + (grid,)*d + (d0,); the batch axes are kept.
-    Each axis is transformed and cut to the lattice rows before the next,
-    outermost first, so later transforms run only over lattice lines.
+    It is read component-major, as (batch, d0, grid, ..., grid), which for
+    the output of ``to_grid`` costs no copy.  Each step transforms the
+    trailing grid axis, cuts it to the lattice rows and rotates it to the
+    front, so later steps run only over lattice lines; the result is
+    C-contiguous.
     """
     grid = values.shape[-2]
     if grid < 2 * radius + 1:
         raise ValueError(f"grid with {grid} points per axis aliases "
                          f"a radius-{radius} lattice")
-    coeffs = values
-    for ax in range(-d - 1, -1):
-        coeffs = _transform_axis(coeffs, ax, grid, radius)
-    return coeffs
+    batch, d0 = values.shape[: -d - 1], values.shape[-1]
+    b = math.prod(batch)
+    coeffs = values.reshape(b, -1, d0).mT
+    for _ in range(d):
+        coeffs = _transform_axis(coeffs.reshape(b, -1, grid), grid, radius)
+    return coeffs.reshape(batch + (2 * radius + 1,) * d + (d0,))
 
 
 def grid_lq_norms(coeffs: np.ndarray, d: int, q: float, grid: int) -> np.ndarray:
@@ -316,6 +330,18 @@ def apply_matrices(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-point matrix-vector products values[..., :, :] x[..., :]; leading
     axes broadcast, so one matrix per xi applies to every frame of a batch."""
     return (values @ x[..., None])[..., 0]
+
+
+def apply_constant(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x @ mat.T on the trailing spinor axis of x, as one 2-D product over all
+    points (an N-D ``@`` makes one BLAS call per 2-D slice).  A
+    component-major x, such as the grid values of ``to_grid``, is read as a
+    (d0, points) matrix and multiplied from the left, so nothing is copied;
+    on a C-contiguous or component-major x the result keeps that layout."""
+    flat = x.reshape(-1, x.shape[-1])
+    if flat.flags.c_contiguous:
+        return (flat @ mat.T).reshape(x.shape)
+    return (mat @ flat.mT).mT.reshape(x.shape)
 
 
 def derivative_monomial(f: SpinorField, alpha) -> SpinorField:

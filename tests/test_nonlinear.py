@@ -138,6 +138,29 @@ def test_evaluate_bundled_cubic_bit_equal_on_33_cube(rng):
     assert np.array_equal(evaluate(F, psi), naive_evaluate(F, psi))
 
 
+@pytest.mark.parametrize("case", ["dense", "one-hot", "mixed", "empty", "cubic"])
+def test_evaluate_keeps_layout_of_component_major_view(rng, case):
+    # the padded grids of to_grid are component-major views; evaluate reads
+    # them as they are and gives the numbers of the contiguous copy
+    F = _series_cases(rng)[case]
+    planes = rng.standard_normal((3, 2, 7, 5)) + 1j * rng.standard_normal((3, 2, 7, 5))
+    view = planes.transpose(1, 2, 3, 0)
+    out = evaluate(F, view)
+    assert np.array_equal(out, evaluate(F, np.ascontiguousarray(view)))
+    assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+
+
+def test_evaluate_zeroes_components_no_term_writes(rng):
+    # every term of the geometric family has coefficient e_1, so the other
+    # components are exactly 0 however empty_like filled them
+    F = bundled_geometric(3, 0.5, 4)
+    psi = rng.standard_normal((2, 9, 3)) + 1j * rng.standard_normal((2, 9, 3))
+    for values in (psi, np.ascontiguousarray(psi.transpose(2, 0, 1)).transpose(1, 2, 0)):
+        out = evaluate(F, values)
+        assert np.all(out[..., 1:] == 0)
+        assert np.abs(out[..., 0] - naive_evaluate(F, values)[..., 0]).max() <= 1e-14 * np.abs(out).max()
+
+
 def test_jacobian_matches_finite_differences(rng):
     F = _random_series(rng, n_terms=4)
     psi = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))

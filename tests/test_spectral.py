@@ -12,6 +12,7 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    apply_constant,
     apply_matrices,
     derivative_monomial,
     forward_fourier,
@@ -230,6 +231,23 @@ def test_batched_transforms_are_bit_identical_per_frame(rng, d, radius, batch):
         assert np.array_equal(coeffs[k], from_grid(values[k], d, radius))
 
 
+@pytest.mark.parametrize("batch, box, grid", TRANSFORM_CASES)
+def test_padded_grid_is_component_major(rng, batch, box, grid):
+    # to_grid returns a view of (batch, d0, grid, ..., grid) memory with the
+    # spinor axis last; from_grid gives the same numbers for that view and
+    # for its C-contiguous copy
+    d, d0, nb = len(box), 2, len(batch)
+    coeffs = rng.standard_normal(batch + box + (d0,)) + 1j * rng.standard_normal(batch + box + (d0,))
+    values = to_grid(coeffs, d, grid)
+    assert values.shape == batch + (grid,) * d + (d0,)
+    assert values.base is not None
+    assert values.transpose(tuple(range(nb)) + (nb + d,) + tuple(range(nb, nb + d))).flags.c_contiguous
+    radius = (min(box) - 1) // 2
+    coeffs = from_grid(values, d, radius)
+    assert coeffs.flags.c_contiguous
+    assert np.array_equal(coeffs, from_grid(np.ascontiguousarray(values), d, radius))
+
+
 def test_transform_matrices_are_cached_and_read_only():
     for build, args in ((spectral._synthesis_matrix, (5, 12)),
                         (spectral._analysis_matrix, (12, 2))):
@@ -254,6 +272,22 @@ def test_apply_matrices_matches_einsum(rng, mats_shape, x_shape):
     assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_constant_is_bit_identical_to_nd_product(rng, d):
+    # every gamma row has one +-1 or +-i entry, so the one 2-D product gives
+    # the N-D form's numbers bit for bit, on C-contiguous coefficients and on
+    # the component-major grid values of to_grid alike
+    g = build_gamma(d)
+    shape = (3,) + (5,) * d + (g.d0,)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid_values = to_grid(coeffs, d, 11)[1]
+    for x in (coeffs, grid_values):
+        for mat in list(g.gamma) + list(g.alpha) + [g.beta]:
+            out = apply_constant(mat, x)
+            assert np.array_equal(out, x @ mat.T)
+            assert out.strides == x.strides
+
+
 def test_spatial_ffts_only_in_spectral():
     # the lattice <-> grid placement and the FFT backend live in one module;
     # elsewhere an FFT runs along the frame (time) axis only
@@ -268,8 +302,8 @@ def test_spatial_ffts_only_in_spectral():
 
 
 def test_no_einsum_in_package():
-    # per-frequency matrices apply through apply_matrices, constant ones as
-    # x @ M.T: one form, one kernel
+    # per-frequency matrices apply through apply_matrices, constant ones
+    # through apply_constant: one form, one kernel
     src = pathlib.Path(spintorus.__file__).parent
     offenders = [
         f"{path.name}: {line.strip()}"
