@@ -79,7 +79,7 @@ class RunConfig:
     lattice_radius: int | None = None
     seed: int = 0
     out: str = "runs/latest"
-    dims: tuple[int, ...] = (1, 2, 3)
+    dims: tuple[int, ...] | None = None  # (9,) in structural mode, else (1, 2, 3)
     structural: bool = False
     n_random: int = 128
     dt: float = 1.0 / 256.0
@@ -110,6 +110,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.out:
             raise ValueError("out must name a directory, got an empty path")
+        if self.dims is None:
+            self.dims = (9,) if self.structural else (1, 2, 3)
         if not self.dims:
             raise ValueError("dims must name at least one dimension")
         if len(set(self.dims)) != len(self.dims):
@@ -159,7 +161,7 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, value in data.items():
         if not _has_type(value, hints[key]):
             raise TypeError(f"{key} must be of type {declared[key]}, got {value!r}")
-    if "dims" in data:
+    if data.get("dims") is not None:
         data["dims"] = tuple(data["dims"])
     return RunConfig(**data)
 
@@ -187,19 +189,6 @@ def _write_report(cfg: RunConfig, payload: dict) -> str:
     return path
 
 
-def _check(name: str, value: float, budget: float) -> dict:
-    return {
-        "name": name,
-        "status": "pass" if value <= budget else "fail",
-        "value": float(value),
-        "budget": float(budget),
-    }
-
-
-def _skipped(name: str, reason: str) -> dict:
-    return {"name": name, "status": "skipped", "reason": reason}
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -218,55 +207,45 @@ def _projector_identity_error(g, xi) -> float:
     return float(err)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    checks: list[dict] = []
-    dims = (9,) if cfg.structural and cfg.dims == (1, 2, 3) else cfg.dims
-    try:
-        gammas = {d: build_gamma(d) for d in dims}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    for d in dims:
-        g = gammas[d]
+def _verify_checks(cfg: RunConfig, gammas: dict, rng):
+    """The checks of verify in report order, each as (name, value, budget)
+    or (name, skip reason).  A check may add a dict of extra report fields
+    after its budget.  Checks draw from ``rng`` in the order they run."""
+    for d, g in gammas.items():
         if cfg.inject_fault == "gamma-scale":
             bad = tuple(
                 2.0 * a if j == 0 else a for j, a in enumerate(g.alpha)
             )
             g = replace(g, alpha=bad)
-        checks.append(_check(f"clifford_defect_d{d}", anticommutator_defect(g), 1e-13))
+        yield f"clifford_defect_d{d}", anticommutator_defect(g), 1e-13
         radius = cfg.radius_for(d)
         pts = rng.integers(-radius, radius + 1, size=(max(cfg.n_random, 100), d))
-        checks.append(_check(f"projector_identities_d{d}",
-                             _projector_identity_error(g, pts), 1e-12))
+        yield f"projector_identities_d{d}", _projector_identity_error(g, pts), 1e-12
 
     radii = np.exp(rng.uniform(np.log(2.0**-8), np.log(2.0**10), size=1000))
     total = np.zeros_like(radii)
     for j in range(-12, 14):
         total += annulus_profile(np.ldexp(radii, -j))
-    checks.append(_check("dyadic_telescoping", float(np.abs(total - 1.0).max()), 1e-12))
+    yield "dyadic_telescoping", float(np.abs(total - 1.0).max()), 1e-12
 
-    for d in dims:
+    for d, g in gammas.items():
         radius = cfg.radius_for(d)
         lattice = FrequencyLattice(d, radius)
-        d0 = gammas[d].d0
         err = 0.0
         jmax = max(int(np.ceil(np.log2(np.sqrt(d) * radius))), 1)
         blocks = [(radial_symbol(lattice, j)[..., None],
                    wide_radial_symbol(lattice, j + 1)[..., None]) for j in range(jmax)]
         for _ in range(50):
-            f = random_field(lattice, d0, rng)
+            f = random_field(lattice, g.d0, rng)
             for block, wide_block in blocks:
                 pj = f.coeffs * block
                 wide = pj * wide_block
                 err = max(err, float(np.abs(wide - pj).max()))
-        checks.append(_check(f"wide_block_absorbs_d{d}", err, 1e-12))
+        yield f"wide_block_absorbs_d{d}", err, 1e-12
 
         if cfg.structural:
-            checks.append(_skipped(f"cube_partition_d{d}", "structural mode"))
-            checks.append(_skipped(f"cap_partition_d{d}", "structural mode"))
-            checks.append(_skipped(f"bernstein_d{d}", "structural mode"))
+            for kind in ("cube_partition", "cap_partition", "bernstein"):
+                yield f"{kind}_d{d}", "structural mode"
         else:
             err = 0.0
             for k in (0, 1):
@@ -276,7 +255,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 tot = cube_partition_sum(lattice, k)
                 sl = tuple(slice(margin, 2 * radius + 1 - margin) for _ in range(d))
                 err = max(err, float(np.abs(tot[sl] - 1.0).max()))
-            checks.append(_check(f"cube_partition_d{d}", err, 1e-12))
+            yield f"cube_partition_d{d}", err, 1e-12
 
             if d <= 3:  # smooth covers for d in {2, 3}, the two half-lines for d = 1
                 err = 0.0
@@ -287,51 +266,62 @@ def cmd_verify(cfg: RunConfig) -> int:
                     mask = lattice.xi_norm_sq > 0
                     err = max(err, float(np.abs(tot[mask] - 1.0).max()))
                     err = max(err, float(np.abs(tot[~mask]).max()))
-                checks.append(_check(f"cap_partition_d{d}", err, 1e-12))
+                yield f"cap_partition_d{d}", err, 1e-12
             else:
-                checks.append(_skipped(f"cap_partition_d{d}", "caps need d <= 3"))
+                yield f"cap_partition_d{d}", "caps need d <= 3"
 
             bern = measure_bernstein_constant(
                 lattice, max_order=3, n_random=min(cfg.n_random, 200), seed=cfg.seed
             )
-            chk = _check(f"bernstein_d{d}", float(bern["violations"]), 0.5)
-            chk["c_meas"] = bern["c_meas"]
-            checks.append(chk)
+            yield f"bernstein_d{d}", float(bern["violations"]), 0.5, {"c_meas": bern["c_meas"]}
 
-        # half-wave unitarity
-        f = random_field(lattice, d0, rng)
+        f = random_field(lattice, g.d0, rng)
         drift = 0.0
         base = f.l2_norm()
         for t in rng.uniform(-5.0, 5.0, size=16):
             drift = max(drift, abs(half_wave(f, float(t), +1).l2_norm() - base) / base)
-        checks.append(_check(f"half_wave_unitarity_d{d}", drift, 1e-13))
+        yield f"half_wave_unitarity_d{d}", drift, 1e-13
 
     if cfg.structural:
-        checks.append(_skipped("free_flow_exactness", "structural mode"))
-    else:
-        lattice = FrequencyLattice(1, 8)
-        g1 = build_gamma(1)
-        psi0 = gaussian_data(lattice, g1.d0, 1e-3, 0.5, seed=cfg.seed)
-        scfg = SolveConfig(
-            d=1, radius=8, dt=0.05, horizon=0.5, epsilon=1e-3,
-            nonlinearity=None, monitor_solution_norm=False,
-        )
-        res = picard_solve(scfg, psi0)
-        sp = split(psi0, g1)
-        err = 0.0
-        for k, t in enumerate(res.trajectory.times):
-            exact = half_wave(sp.plus, float(t), +1) + half_wave(sp.minus, float(t), -1)
-            err = max(err, (res.trajectory.frame(k) - exact).l2_norm())
-        checks.append(_check("free_flow_exactness", err, 1e-12))
+        yield "free_flow_exactness", "structural mode"
+        return
+    lattice = FrequencyLattice(1, 8)
+    g1 = build_gamma(1)
+    psi0 = gaussian_data(lattice, g1.d0, 1e-3, 0.5, seed=cfg.seed)
+    scfg = SolveConfig(
+        d=1, radius=8, dt=0.05, horizon=0.5, epsilon=1e-3,
+        nonlinearity=None, monitor_solution_norm=False,
+    )
+    res = picard_solve(scfg, psi0)
+    sp = split(psi0, g1)
+    err = 0.0
+    for k, t in enumerate(res.trajectory.times):
+        exact = half_wave(sp.plus, float(t), +1) + half_wave(sp.minus, float(t), -1)
+        err = max(err, (res.trajectory.frame(k) - exact).l2_norm())
+    yield "free_flow_exactness", err, 1e-12
 
-    failed = [c for c in checks if c["status"] == "fail"]
-    for c in checks:
-        line = f"[{c['status'].upper():7s}] {c['name']}"
-        if "value" in c:
-            line += f"  value={c['value']:.3e} budget={c['budget']:.0e}"
-        print(line)
-    _write_report(cfg, {"command": "verify", "checks": checks,
-                        "passed": not failed})
+
+def cmd_verify(cfg: RunConfig) -> int:
+    try:
+        gammas = {d: build_gamma(d) for d in cfg.dims}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    checks = []
+    for name, *result in _verify_checks(cfg, gammas, np.random.default_rng(cfg.seed)):
+        if len(result) == 1:
+            check = {"name": name, "status": "skipped", "reason": result[0]}
+            detail = ""
+        else:
+            value, budget, *extra = result
+            check = {"name": name, "status": "pass" if value <= budget else "fail",
+                     "value": float(value), "budget": float(budget)}
+            check.update(*extra)
+            detail = f"  value={value:.3e} budget={budget:.0e}"
+        print(f"[{check['status'].upper():7s}] {name}{detail}")
+        checks.append(check)
+    failed = any(c["status"] == "fail" for c in checks)
+    _write_report(cfg, {"command": "verify", "checks": checks, "passed": not failed})
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
@@ -501,32 +491,22 @@ def cmd_audit(cfg: RunConfig) -> int:
     try:
         g = build_gamma(d)
         F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
-        if F.is_zero():
-            print("error: empty coefficient series", file=sys.stderr)
-            return EXIT_USAGE
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if F.d0 != g.d0:
-        print(f"error: nonlinearity d0={F.d0} incompatible with d={d}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if cfg.constant is not None:
         constant = cfg.constant
-    else:
-        lattice = FrequencyLattice(d, cfg.radius_for(d))
-        constant = measure_bernstein_constant(
-            lattice, max_order=3, n_random=0, seed=cfg.seed
-        )["c_meas"]
-    try:
+        if constant is None:
+            lattice = FrequencyLattice(d, cfg.radius_for(d))
+            constant = measure_bernstein_constant(
+                lattice, max_order=3, n_random=0, seed=cfg.seed
+            )["c_meas"]
+        # refuses an empty series, a wrong d0 and a constant that is not
+        # positive and finite
         report = growth_audit(F, g, constant, tail_ratio=cfg.tail_ratio)
-    except ValueError as exc:  # a constant that is not positive and finite
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = "pass" if report.passed else "fail"
     print(f"growth audit: {verdict} (proxy {report.proxy:.4g}, "
           f"threshold {report.threshold:.4g}, constant {constant:.4g})")
-    _write_report(cfg, {"command": "audit", "audit": report.to_json_dict(),
+    _write_report(cfg, {"command": "audit", "audit": asdict(report),
                         "passed": report.passed})
     return EXIT_OK if report.passed else EXIT_AUDIT
 
@@ -585,8 +565,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config")}
-    if overrides.get("dims") is not None:
-        overrides["dims"] = tuple(overrides["dims"])
     try:
         cfg = _load_config(args.config, overrides)
     except (OSError, ValueError, TypeError) as exc:

@@ -8,7 +8,7 @@ symbols are bounded by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -205,7 +205,6 @@ class CapCover:
     scale: int
     centers: np.ndarray  # (K, d) unit vectors
     width: float
-    _symbol_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_caps(self) -> int:
@@ -308,23 +307,17 @@ def cap_symbols(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
     """All cap weights on the lattice, shape (K,) + lattice.shape.
 
     The zero frequency gets weight 0 for every cap (the weights partition
-    R^d minus the origin only).  Tables are cached on the cover.
+    R^d minus the origin only).
     """
     if cover.d != lattice.d:
         raise ValueError("cover and lattice dimensions differ")
-    key = (lattice.d, lattice.radius)
-    cached = cover._symbol_cache.get(key)
-    if cached is not None:
-        return cached
     xi = lattice.xi.reshape(-1, lattice.d)
     r = np.linalg.norm(xi, axis=1)
     nonzero = r > 0
     table = np.zeros((xi.shape[0], cover.n_caps))
     dirs = xi[nonzero] / r[nonzero, None]
     table[nonzero] = cover.weights(dirs)
-    table = np.moveaxis(table.reshape(lattice.shape + (cover.n_caps,)), -1, 0)
-    cover._symbol_cache[key] = table
-    return table
+    return np.moveaxis(table.reshape(lattice.shape + (cover.n_caps,)), -1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ which is what the growth audit judges.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -135,20 +137,10 @@ def bundled_geometric(
     e1 = np.zeros(d0, dtype=np.complex128)
     e1[0] = 1.0
     terms = {}
-    for p in _indices_up_to(d0, degree):
-        if sum(p) >= 1:
+    for p in itertools.product(range(degree + 1), repeat=d0):
+        if 1 <= sum(p) <= degree:
             terms[p] = ratio ** sum(p) * e1
     return PowerSeriesNonlinearity(d0, terms, tail_ratio=ratio)
-
-
-def _indices_up_to(d0: int, degree: int):
-    if d0 == 1:
-        for n in range(degree + 1):
-            yield (n,)
-        return
-    for head in range(degree + 1):
-        for rest in _indices_up_to(d0 - 1, degree - head):
-            yield (head,) + rest
 
 
 BUNDLED = {"cubic": bundled_cubic, "geometric": bundled_geometric}
@@ -269,26 +261,9 @@ def multinomial_split(p) -> dict:
     product of binomials; they sum to 2^{|p|}."""
     p = tuple(int(x) for x in p)
     out = {}
-    for m in _splits(p):
+    for m in itertools.product(*(range(pk + 1) for pk in p)):
         n = tuple(pk - mk for pk, mk in zip(p, m))
-        out[(m, n)] = _binom_product(p, m)
-    return out
-
-
-def _splits(p):
-    if len(p) == 1:
-        for m in range(p[0] + 1):
-            yield (m,)
-        return
-    for m0 in range(p[0] + 1):
-        for rest in _splits(p[1:]):
-            yield (m0,) + rest
-
-
-def _binom_product(p, m) -> int:
-    out = 1
-    for pk, mk in zip(p, m):
-        out *= math.comb(pk, mk)
+        out[(m, n)] = math.prod(math.comb(pk, mk) for pk, mk in zip(p, m))
     return out
 
 
@@ -358,20 +333,6 @@ class GrowthAuditReport:
     proxy: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "d0": self.d0,
-            "constant": self.constant,
-            "threshold": self.threshold,
-            "direct": {str(r): v for r, v in sorted(self.direct.items())},
-            "difference": {str(r): v for r, v in sorted(self.difference.items())},
-            "roots": {str(r): v for r, v in sorted(self.roots.items())},
-            "tail_ratio": self.tail_ratio,
-            "proxy": self.proxy,
-            "passed": self.passed,
-        }
-
 
 def growth_threshold(constant: float, d: int) -> float:
     """C^{-d/2-1/4} 2^{-d/2} / 3 for the measured derivative constant C."""
@@ -390,10 +351,7 @@ def matrix_weights(g: GammaSet, c: np.ndarray) -> tuple[float, float, float]:
 
 
 def _central_binom_product(p) -> int:
-    out = 1
-    for pk in p:
-        out *= math.comb(pk, pk // 2)
-    return out
+    return math.prod(math.comb(pk, pk // 2) for pk in p)
 
 
 def direct_quantity(p, weights: tuple[float, float, float]) -> float:
@@ -407,16 +365,29 @@ def direct_quantity(p, weights: tuple[float, float, float]) -> float:
 def difference_split_maximum(p, i: int) -> Fraction:
     """Exact rational maximum over the nested splits of (p - e_i)^+ of
     E_{mn} a_max(m) b_max(n) / (|m|+1); the combinatorial core of the
-    difference quantity."""
-    q = decrement_index(p, i)
-    best = Fraction(0)
-    for (m, n), coeff in multinomial_split(q).items():
-        val = Fraction(
-            coeff * _central_binom_product(m) * _central_binom_product(n),
-            sum(m) + 1,
-        )
-        best = max(best, val)
-    return best
+    difference quantity.
+
+    Apart from 1/(|m|+1) the summand is a product over components, so the
+    maximum depends only on the multiset of the entries of (p - e_i)^+ and
+    is computed once for each.
+    """
+    return _split_maximum(tuple(sorted(decrement_index(p, i))))
+
+
+@functools.lru_cache(maxsize=4096)
+def _split_maximum(q: tuple) -> Fraction:
+    """Max-product knapsack over the components of q on exact integers: the
+    best product for each total |m|, then one Fraction per total."""
+    best = {0: 1}  # total |m| -> largest product over the components so far
+    for qk in q:
+        factors = [math.comb(qk, mk) * math.comb(mk, mk // 2)
+                   * math.comb(qk - mk, (qk - mk) // 2) for mk in range(qk + 1)]
+        grown = {}
+        for total, value in best.items():
+            for mk, factor in enumerate(factors):
+                grown[total + mk] = max(grown.get(total + mk, 0), value * factor)
+        best = grown
+    return max(Fraction(value, total + 1) for total, value in best.items())
 
 
 def difference_quantity(p, i: int, weights: tuple[float, float, float]) -> float:

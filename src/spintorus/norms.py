@@ -247,6 +247,18 @@ def multi_indices(d: int, order: int):
         yield tuple(alpha)
 
 
+def _annulus_table(lattice: FrequencyLattice, j: int, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The flat lattice mask of the scale-j annulus 2^j <= |xi| <= 2^{j+2}
+    and the table of |xi^alpha|^2 over it, shape (len(alphas), points)."""
+    r = np.sqrt(lattice.xi_norm_sq).ravel()
+    on = (r >= 2.0**j) & (r <= 2.0 ** (j + 2))
+    xi_sq = lattice.xi.reshape(-1, lattice.d)[on] ** 2
+    axes = np.arange(lattice.d)
+    table = np.array([np.prod(xi_sq[:, np.repeat(axes, alpha)], axis=1)
+                      for alpha in alphas])
+    return on, table
+
+
 def bernstein_ratios(coeffs: np.ndarray, lattice: FrequencyLattice, j: int,
                      alphas) -> np.ndarray:
     """||D^alpha f|| / (2^{|alpha| j} ||f||) for a batch of annulus-localised
@@ -258,18 +270,13 @@ def bernstein_ratios(coeffs: np.ndarray, lattice: FrequencyLattice, j: int,
     once and serves every field.  Zero fields and fields with energy off the
     annulus are rejected.
     """
-    r = np.sqrt(lattice.xi_norm_sq).ravel()
-    on = (r >= 2.0**j) & (r <= 2.0 ** (j + 2))
+    on, table = _annulus_table(lattice, j, alphas)
     density = _spinor_density(coeffs)
     total = density.sum(axis=1)
     if np.any(total == 0.0):
         raise ValueError("zero field")
     if np.any(np.sqrt(density[:, ~on].sum(axis=1) / total) > 1e-10):
         raise ValueError("field is not localised to the scale-j annulus")
-    xi_sq = lattice.xi.reshape(-1, lattice.d)[on] ** 2
-    axes = np.arange(lattice.d)
-    table = np.array([np.prod(xi_sq[:, np.repeat(axes, alpha)], axis=1)
-                      for alpha in alphas])
     orders = np.array([sum(alpha) for alpha in alphas])
     return np.sqrt(density[:, on] @ table.T / total[:, None]) / 2.0 ** (orders * j)
 
@@ -286,44 +293,33 @@ def measure_bernstein_constant(
     lattice modes, so the reported constant combines a deterministic scan of
     the annulus lattice points (seed-independent) with a randomised check
     that no sampled field violates the hard 4^{|alpha|} bound.  The scales
-    are 0 <= j < jmax of ``radial_scale_range``.
+    are 0 <= j < jmax of ``radial_scale_range``.  The scan reads the largest
+    entries of the |xi^alpha|^2 annulus table that ``bernstein_ratios`` uses.
     """
     _, jmax = radial_scale_range(lattice)
-    scales = list(range(0, jmax))
     rng = np.random.default_rng(seed)
-    r = np.sqrt(lattice.xi_norm_sq)
-    c_det = 0.0
-    for j in scales:
-        mask = (r >= 2.0**j) & (r <= 2.0 ** (j + 2))
-        if not np.any(mask):
-            continue
-        for order in range(1, max_order + 1):
-            for alpha in multi_indices(lattice.d, order):
-                sym = np.ones(lattice.shape)
-                for ax, a in enumerate(alpha):
-                    if a:
-                        sym = sym * np.abs(lattice.xi[..., ax]) ** a
-                ratio = sym[mask].max() / 2.0 ** (order * j)
-                c_det = max(c_det, ratio ** (1.0 / (order + 1)))
-    violations = 0
-    d0 = 1
-    # n_random = 0 draws nothing: only the deterministic c_meas is wanted
-    per_scale = max(1, n_random // max(1, len(scales))) if n_random > 0 else 0
     alphas = [alpha for order in range(1, max_order + 1)
               for alpha in multi_indices(lattice.d, order)]
-    bound = 4.0 ** np.array([sum(alpha) for alpha in alphas])
-    for j in scales:
-        lo, hi = 2.0**j, 2.0 ** (j + 2)
-        if not np.any((r >= lo) & (r <= hi)):
+    orders = [sum(alpha) for alpha in alphas]
+    bound = 4.0 ** np.array(orders)
+    # n_random = 0 draws nothing: only the deterministic c_meas is wanted
+    per_scale = max(1, n_random // max(1, jmax)) if n_random > 0 else 0
+    c_det, violations = 0.0, 0
+    for j in range(jmax):
+        on, table = _annulus_table(lattice, j, alphas)
+        if not np.any(on):
             continue
+        peaks = np.sqrt(table.max(axis=1)).tolist()  # max |xi^alpha| on the annulus
+        for peak, order in zip(peaks, orders):
+            c_det = max(c_det, (peak / 2.0 ** (order * j)) ** (1.0 / (order + 1)))
+        lo, hi = 2.0**j, 2.0 ** (j + 2)
         # drawn one by one, so the rng stream does not depend on the batching
-        fields = [random_field(lattice, d0, rng, annulus=(lo, hi)).coeffs
+        fields = [random_field(lattice, 1, rng, annulus=(lo, hi)).coeffs
                   for _ in range(per_scale)]
         fields = [c for c in fields if np.any(c)]
-        if not fields:
-            continue
-        ratios = bernstein_ratios(np.array(fields), lattice, j, alphas)
-        violations += int(np.count_nonzero(ratios > bound * (1.0 + 1e-12)))
+        if fields:
+            ratios = bernstein_ratios(np.array(fields), lattice, j, alphas)
+            violations += int(np.count_nonzero(ratios > bound * (1.0 + 1e-12)))
     return {"c_meas": float(c_det), "violations": int(violations)}
 
 

@@ -47,6 +47,17 @@ def test_verify_structural_mode(tmp_path):
     assert by_name["projector_identities_d9"]["status"] == "pass"
     skipped = [c["name"] for c in rep["checks"] if c["status"] == "skipped"]
     assert "free_flow_exactness" in skipped
+    assert rep["config"]["dims"] == [9]
+
+
+def test_verify_structural_runs_the_given_dims(tmp_path):
+    out = str(tmp_path / "vs3")
+    assert main(["verify", "--structural", "--dims", "1", "2", "3", "--out", out]) == EXIT_OK
+    rep = _read_report(out)
+    assert rep["config"]["dims"] == [1, 2, 3]
+    names = [c["name"] for c in rep["checks"]]
+    assert names[:6] == [f"{kind}_d{d}" for d in (1, 2, 3)
+                         for kind in ("clifford_defect", "projector_identities")]
 
 
 @pytest.mark.parametrize(
@@ -171,12 +182,20 @@ def test_compare_kg_free_flow(tmp_path):
 def test_audit_exit_codes(tmp_path):
     out = str(tmp_path / "a")
     assert main(["audit", "--nonlinearity", "cubic", "--out", out]) == EXIT_OK
-    assert _read_report(out)["audit"]["proxy"] == 0.0
+    audit = _read_report(out)["audit"]
+    assert audit["proxy"] == 0.0
+    # the report holds the audit's fields; the per-degree tables are keyed
+    # by the degree as a string
+    assert sorted(audit) == ["constant", "d", "d0", "difference", "direct", "passed",
+                             "proxy", "roots", "tail_ratio", "threshold"]
+    assert (list(audit["direct"]), list(audit["difference"]), list(audit["roots"])) == (
+        ["3"], ["2"], ["2", "3"])
     out2 = str(tmp_path / "a2")
     assert main(["audit", "--nonlinearity", "geometric", "--out", out2]) == EXIT_AUDIT
     rep = _read_report(out2)
     assert rep["audit"]["passed"] is False
     assert rep["audit"]["tail_ratio"] == 1.0
+    assert sorted(rep["audit"]["roots"], key=int) == [str(r) for r in range(1, 31)]
 
 
 def test_audit_usage_errors(tmp_path):

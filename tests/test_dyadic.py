@@ -349,11 +349,3 @@ def test_unit_cubes_are_disjoint_on_integers():
     for xi in range(-6, 7):
         hits = sum(1 for n in cov.centers if cube_symbol(cov, n)[xi + 6] > 0)
         assert hits <= 2
-
-
-def test_symbol_tables_cache(rng):
-    lat = FrequencyLattice(2, 4)
-    cover = build_cap_cover(2, 1)
-    t1 = cap_symbols(cover, lat)
-    t2 = cap_symbols(cover, lat)
-    assert t1 is t2

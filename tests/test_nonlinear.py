@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -391,6 +392,23 @@ def test_direct_quantity_equals_literal_enumeration(p, rng):
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     w = matrix_weights(g, c)
     assert direct_quantity(p, w) == _literal_direct(p, w)
+
+
+def _enumerated_split_maximum(p, i):
+    """Oracle: the largest E_{mn} a_max(m) b_max(n) / (|m|+1) over every
+    split of (p - e_i)^+, one Fraction per split."""
+    return max(
+        Fraction(coeff * math.prod(math.comb(x, x // 2) for x in m + n), sum(m) + 1)
+        for (m, n), coeff in multinomial_split(decrement_index(p, i)).items()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.data())
+def test_split_maximum_matches_enumeration(p, data):
+    # permuted indices share one cached maximum, so they are drawn too
+    i = data.draw(st.integers(1, len(p)))
+    assert difference_split_maximum(tuple(p), i) == _enumerated_split_maximum(p, i)
 
 
 @pytest.mark.parametrize(
