@@ -3,9 +3,11 @@
 Commands: ``verify`` (invariant suites), ``solve`` (fixed-point Cauchy
 solve), ``compare-kg`` (first-order vs second-order cross-check) and
 ``audit`` (nonlinearity coefficient-growth audit).  Options come from an
-optional JSON config file plus flag overrides (flags win); every report
-embeds the resolved configuration and runs are byte-deterministic for a
-fixed seed.
+optional JSON config file plus the flags the command reads (flags win);
+config keys a command does not read are ignored.  Every report embeds the
+resolved configuration and runs are byte-deterministic for a fixed seed.
+Each command is a setup, which does everything that can refuse the input,
+and a run; ``main`` maps a refusal to exit 64 before anything is written.
 
 Exit codes: 0 success, 1 invariant failure, 2 solver non-convergence,
 3 audit fail (an analytical outcome, not a tool error), 64 usage.
@@ -95,7 +97,6 @@ class RunConfig:
     refine: bool = False
     constant: float | None = None
     tail_ratio: float | None = None
-    inject_fault: str | None = None  # test hook, e.g. "gamma-scale"
 
     def __post_init__(self):
         # structural mode fixes the radius at 1 and ignores this option
@@ -123,8 +124,6 @@ class RunConfig:
             raise ValueError(f"tail_ratio must be finite and >= 0, got {tail}")
 
     def radius_for(self, d: int) -> int:
-        if self.structural:
-            return 1
         if self.lattice_radius is not None:
             return self.lattice_radius
         return _DEFAULT_RADIUS.get(d, 1)
@@ -179,7 +178,6 @@ def _jsonable(obj):
 
 
 def _write_report(cfg: RunConfig, payload: dict) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
     payload = dict(payload)
     payload["config"] = _jsonable(asdict(cfg))
     payload["version"] = __version__
@@ -210,15 +208,12 @@ def _projector_identity_error(g, xi) -> float:
 def _verify_checks(cfg: RunConfig, gammas: dict, rng):
     """The checks of verify in report order, each as (name, value, budget)
     or (name, skip reason).  A check may add a dict of extra report fields
-    after its budget.  Checks draw from ``rng`` in the order they run."""
+    after its budget.  Checks draw from ``rng`` in the order they run.
+    Structural mode puts every dimension on the radius-1 lattice."""
+    radius_of = {d: 1 if cfg.structural else cfg.radius_for(d) for d in gammas}
     for d, g in gammas.items():
-        if cfg.inject_fault == "gamma-scale":
-            bad = tuple(
-                2.0 * a if j == 0 else a for j, a in enumerate(g.alpha)
-            )
-            g = replace(g, alpha=bad)
         yield f"clifford_defect_d{d}", anticommutator_defect(g), 1e-13
-        radius = cfg.radius_for(d)
+        radius = radius_of[d]
         pts = rng.integers(-radius, radius + 1, size=(max(cfg.n_random, 100), d))
         yield f"projector_identities_d{d}", _projector_identity_error(g, pts), 1e-12
 
@@ -229,7 +224,7 @@ def _verify_checks(cfg: RunConfig, gammas: dict, rng):
     yield "dyadic_telescoping", float(np.abs(total - 1.0).max()), 1e-12
 
     for d, g in gammas.items():
-        radius = cfg.radius_for(d)
+        radius = radius_of[d]
         lattice = FrequencyLattice(d, radius)
         err = 0.0
         jmax = max(int(np.ceil(np.log2(np.sqrt(d) * radius))), 1)
@@ -301,12 +296,11 @@ def _verify_checks(cfg: RunConfig, gammas: dict, rng):
     yield "free_flow_exactness", err, 1e-12
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    try:
-        gammas = {d: build_gamma(d) for d in cfg.dims}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _verify_setup(cfg: RunConfig) -> dict:
+    return {d: build_gamma(d) for d in cfg.dims}
+
+
+def _verify_run(cfg: RunConfig, gammas: dict) -> int:
     checks = []
     for name, *result in _verify_checks(cfg, gammas, np.random.default_rng(cfg.seed)):
         if len(result) == 1:
@@ -338,10 +332,9 @@ def _resolve_nonlinearity(name: str, d0: int) -> PowerSeriesNonlinearity:
     return load_nonlinearity_file(name)
 
 
-def _solve_setup(cfg: RunConfig, dt: float):
+def _solve_setup(cfg: RunConfig):
     """Gamma set, solver configuration and initial data of solve and
-    compare-kg; raises OSError, ValueError, KeyError or TypeError on bad
-    input."""
+    compare-kg."""
     if cfg.mass != 1.0:
         raise ValueError(f"mass {cfg.mass} is not supported: the split solver "
                          "is normalised to mass 1")
@@ -352,13 +345,13 @@ def _solve_setup(cfg: RunConfig, dt: float):
         raise ValueError(f"nonlinearity has d0={F.d0}, dimension d={d} needs {g.d0}")
     s = cfg.s if cfg.s is not None else d / 2.0
     scfg = SolveConfig(
-        d=d, radius=cfg.radius_for(d), dt=dt, horizon=cfg.horizon,
+        d=d, radius=cfg.radius_for(d), dt=cfg.dt, horizon=cfg.horizon,
         epsilon=cfg.epsilon, s=s, picard_tol=cfg.picard_tol,
         max_iterations=cfg.max_iterations,
         nonlinearity=None if F.is_zero() else F,
     )
     if scfg.n_frames < 3:  # the residual needs an interior frame
-        raise ValueError(f"horizon {cfg.horizon} must be at least two steps of {dt}")
+        raise ValueError(f"horizon {cfg.horizon} must be at least two steps of {cfg.dt}")
     psi0 = gaussian_data(scfg.lattice(), g.d0, cfg.epsilon, s, seed=cfg.seed)
     return g, scfg, psi0
 
@@ -389,26 +382,13 @@ def _write_solve_csv(path: str, diagnostics: dict, defect, sobolev) -> None:
                 writer.writerow(["sobolev", "", repr(float(t)), repr(float(v)), ""])
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    try:
-        g, scfg, psi0 = _solve_setup(cfg, cfg.dt)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        res = picard_solve(scfg, psi0)
-    except PicardError as exc:
-        print(f"solver failed: {exc}")
-        _write_report(cfg, {
-            "command": "solve", "converged": False,
-            "diagnostics": exc.diagnostics, "passed": False,
-        })
-        return EXIT_SOLVER
+def _solve_run(cfg: RunConfig, setup) -> int:
+    g, scfg, psi0 = setup
+    res = picard_solve(scfg, psi0)
     times_in, values, rel_defect = _relative_defect(
         res.trajectory, scfg.nonlinearity, g, 1.0
     )
     mon = sobolev_monitor(res.trajectory, scfg.s)
-    os.makedirs(cfg.out, exist_ok=True)
     save_trajectory(res.trajectory, cfg.out, extra={
         "diagnostics": _jsonable(res.diagnostics),
         "command": "solve",
@@ -449,21 +429,15 @@ def _compare_once(cfg: RunConfig, g, scfg: SolveConfig, psi0):
     return dist, defect_first, defect_second
 
 
-def cmd_compare_kg(cfg: RunConfig) -> int:
-    try:
-        run = _solve_setup(cfg, cfg.dt)
-        run_half = _solve_setup(cfg, cfg.dt / 2.0) if cfg.refine else None
-        kg_frequencies(run[1].lattice(), cfg.mass, cfg.dt)  # step guard, before any solve
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dist, defect_first, defect_second = _compare_once(cfg, *run)
-    except PicardError as exc:
-        print(f"solver failed: {exc}")
-        _write_report(cfg, {"command": "compare-kg", "passed": False,
-                            "diagnostics": exc.diagnostics})
-        return EXIT_SOLVER
+def _compare_setup(cfg: RunConfig):
+    setup = _solve_setup(cfg)
+    kg_frequencies(setup[1].lattice(), cfg.mass, cfg.dt)  # the step guard
+    return setup
+
+
+def _compare_run(cfg: RunConfig, setup) -> int:
+    g, scfg, psi0 = setup
+    dist, defect_first, defect_second = _compare_once(cfg, g, scfg, psi0)
     payload = {
         "command": "compare-kg",
         "distance": dist,
@@ -471,7 +445,7 @@ def cmd_compare_kg(cfg: RunConfig) -> int:
         "defect_second_order": defect_second,
     }
     if cfg.refine:
-        dist_half, _, _ = _compare_once(cfg, *run_half)
+        dist_half, _, _ = _compare_once(cfg, g, replace(scfg, dt=scfg.dt / 2), psi0)
         payload["distance_refined"] = dist_half
         payload["refinement_factor"] = dist / dist_half if dist_half > 0 else np.inf
     ok = dist <= cfg.distance_budget
@@ -486,26 +460,26 @@ def cmd_compare_kg(cfg: RunConfig) -> int:
 # audit
 
 
-def cmd_audit(cfg: RunConfig) -> int:
+def _audit_setup(cfg: RunConfig):
+    """The whole audit: a bad series or constant is a usage error."""
     d = cfg.d
-    try:
-        g = build_gamma(d)
-        F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
-        constant = cfg.constant
-        if constant is None:
-            lattice = FrequencyLattice(d, cfg.radius_for(d))
-            constant = measure_bernstein_constant(
-                lattice, max_order=3, n_random=0, seed=cfg.seed
-            )["c_meas"]
-        # refuses an empty series, a wrong d0 and a constant that is not
-        # positive and finite
-        report = growth_audit(F, g, constant, tail_ratio=cfg.tail_ratio)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = build_gamma(d)
+    F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
+    constant = cfg.constant
+    if constant is None:
+        lattice = FrequencyLattice(d, cfg.radius_for(d))
+        constant = measure_bernstein_constant(
+            lattice, max_order=3, n_random=0, seed=cfg.seed
+        )["c_meas"]
+    # refuses an empty series, a wrong d0 and a constant that is not
+    # positive and finite
+    return growth_audit(F, g, constant, tail_ratio=cfg.tail_ratio)
+
+
+def _audit_run(cfg: RunConfig, report) -> int:
     verdict = "pass" if report.passed else "fail"
     print(f"growth audit: {verdict} (proxy {report.proxy:.4g}, "
-          f"threshold {report.threshold:.4g}, constant {constant:.4g})")
+          f"threshold {report.threshold:.4g}, constant {report.constant:.4g})")
     _write_report(cfg, {"command": "audit", "audit": asdict(report),
                         "passed": report.passed})
     return EXIT_OK if report.passed else EXIT_AUDIT
@@ -514,69 +488,89 @@ def cmd_audit(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# argparse keywords of every flag; --a-b sets the RunConfig field a_b, and
+# --config names the config file
+_FLAGS = {
+    "config": {"help": "JSON config file"},
+    "out": {"help": "output directory"},
+    "seed": {"type": int, "help": "seed for randomized suites"},
+    "d": {"type": int, "help": "spatial dimension"},
+    "lattice_radius": {"type": int},
+    "dt": {"type": float, "help": "time step"},
+    "horizon": {"type": float, "help": "final time"},
+    "epsilon": {"type": float, "help": "initial data size"},
+    "nonlinearity": {"help": "bundled name or JSON file path"},
+    "dims": {"type": int, "nargs": "+", "help": "dimensions to check"},
+    "n_random": {"type": int},
+    "structural": {"action": "store_true", "default": None,
+                   "help": "radius-1 high-dimension structural mode"},
+    "picard_tol": {"type": float},
+    "max_iterations": {"type": int},
+    "defect_budget": {"type": float},
+    "distance_budget": {"type": float},
+    "refine": {"action": "store_true", "default": None,
+               "help": "also run at dt/2 and report the shrink factor"},
+    "mass": {"type": float},
+    "constant": {"type": float, "help": "override the measured derivative constant"},
+    "tail_ratio": {"type": float, "help": "declared geometric tail of a truncated series"},
+}
+_COMMON = ("config", "out", "seed")
+_EVOLUTION = _COMMON + ("d", "lattice_radius", "dt", "horizon", "epsilon", "nonlinearity")
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--d", type=int, help="spatial dimension")
-    p.add_argument("--lattice-radius", type=int, dest="lattice_radius")
-    p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--horizon", type=float, help="final time")
-    p.add_argument("--epsilon", type=float, help="initial data size")
-    p.add_argument("--nonlinearity", help="bundled name or JSON file path")
-    p.add_argument("--structural", action="store_true", default=None,
-                   help="radius-1 high-dimension structural mode")
+# command -> (help, flags it reads, setup, run).  The setup does everything
+# that can refuse the input; the run gets the setup's result.
+_COMMANDS = {
+    "verify": ("run the invariant suites",
+               _COMMON + ("lattice_radius", "dims", "n_random", "structural"),
+               _verify_setup, _verify_run),
+    "solve": ("fixed-point Cauchy solve",
+              _EVOLUTION + ("picard_tol", "max_iterations", "defect_budget"),
+              _solve_setup, _solve_run),
+    "compare-kg": ("first vs second order cross-check",
+                   _EVOLUTION + ("distance_budget", "refine", "mass"),
+                   _compare_setup, _compare_run),
+    "audit": ("coefficient growth audit",
+              _COMMON + ("d", "lattice_radius", "nonlinearity", "constant", "tail_ratio"),
+              _audit_setup, _audit_run),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintorus",
         description="Spectral Dirac simulation and verification on flat tori",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--dims", type=int, nargs="+", help="dimensions to check")
-    p_verify.add_argument("--n-random", type=int, dest="n_random")
-    p_solve = sub.add_parser("solve", help="fixed-point Cauchy solve")
-    p_solve.add_argument("--picard-tol", type=float, dest="picard_tol")
-    p_solve.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p_solve.add_argument("--defect-budget", type=float, dest="defect_budget")
-    p_kg = sub.add_parser("compare-kg", help="first vs second order cross-check")
-    p_kg.add_argument("--distance-budget", type=float, dest="distance_budget")
-    p_kg.add_argument("--refine", action="store_true", default=None,
-                      help="also run at dt/2 and report the shrink factor")
-    p_kg.add_argument("--mass", type=float)
-    p_audit = sub.add_parser("audit", help="coefficient growth audit")
-    p_audit.add_argument("--constant", type=float,
-                         help="override the measured derivative constant")
-    p_audit.add_argument("--tail-ratio", type=float, dest="tail_ratio",
-                         help="declared geometric tail of a truncated series")
-    for p in (p_verify, p_solve, p_kg, p_audit):
-        _add_common(p)
+    for command, (help_text, flags, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in flags:
+            p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    _, _, setup, run = _COMMANDS[args.command]
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config")}
     try:
         cfg = _load_config(args.config, overrides)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        prepared = setup(cfg)
+        os.makedirs(cfg.out, exist_ok=True)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "verify": cmd_verify,
-        "solve": cmd_solve,
-        "compare-kg": cmd_compare_kg,
-        "audit": cmd_audit,
-    }
-    return handlers[args.command](cfg)
+    try:
+        return run(cfg, prepared)
+    except PicardError as exc:
+        print(f"solver failed: {exc}")
+        _write_report(cfg, {"command": args.command, "converged": False,
+                            "diagnostics": exc.diagnostics, "passed": False})
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -420,9 +420,13 @@ def growth_audit(
     tail = tail_ratio if tail_ratio is not None else F.tail_ratio
     threshold = growth_threshold(constant, g.d)
     direct, difference = {}, {}
+    weights = {}  # coefficient bytes -> matrix weights; series often repeat one vector
     for p, c in F.terms.items():
         r = sum(p)
-        w = matrix_weights(g, c)
+        key = c.tobytes()
+        if key not in weights:
+            weights[key] = matrix_weights(g, c)
+        w = weights[key]
         direct[r] = max(direct.get(r, 0.0), direct_quantity(p, w))
         for i in range(1, F.d0 + 1):
             if p[i - 1] == 0:

@@ -1,14 +1,19 @@
+import argparse
 import json
 import os
+from dataclasses import fields, replace
 
 import pytest
 
+from spintorus import cli
 from spintorus.cli import (
     EXIT_AUDIT,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_USAGE,
+    RunConfig,
+    build_parser,
     main,
 )
 
@@ -28,11 +33,17 @@ def test_verify_default_passes(tmp_path):
     assert rep["config"]["seed"] == 5  # resolved config is embedded
 
 
-def test_verify_fault_injection_fails_named_check(tmp_path):
+def test_verify_fault_injection_fails_named_check(tmp_path, monkeypatch):
+    # a gamma set whose first alpha is scaled by 2 breaks the Clifford relations
+    build = cli.build_gamma
+
+    def scaled(d):
+        g = build(d)
+        return replace(g, alpha=(2.0 * g.alpha[0],) + g.alpha[1:])
+
+    monkeypatch.setattr(cli, "build_gamma", scaled)
     out = str(tmp_path / "vf")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"inject_fault": "gamma-scale", "dims": [2]}))
-    assert main(["verify", "--config", str(cfg), "--out", out]) == EXIT_INVARIANT
+    assert main(["verify", "--dims", "2", "--out", out]) == EXIT_INVARIANT
     rep = _read_report(out)
     failing = [c["name"] for c in rep["checks"] if c["status"] == "fail"]
     assert "clifford_defect_d2" in failing
@@ -291,6 +302,10 @@ def test_usage_exit_on_bad_flag(tmp_path):
         assert main([command, "--epsilon", "1e200"] + out) == EXIT_USAGE, command
         assert main([command, "--config", str(config)] + out) == EXIT_USAGE, command
     assert main(["verify", "--dims", "1", "1"] + out) == EXIT_USAGE
+    # a flag the command does not read, or an abbreviation of one it does
+    for argv in (["verify", "--d", "2"], ["verify", "--dt", "0.1"], ["verify", "--dim", "2"],
+                 ["audit", "--horizon", "1"], ["solve", "--structural"]):
+        assert main(argv + out) == EXIT_USAGE, argv
     for command in ("verify", "solve", "compare-kg", "audit"):
         assert main([command, "--out", ""]) == EXIT_USAGE, command
     config.write_text('{"out": ""}')
@@ -306,3 +321,65 @@ def test_usage_exit_on_bad_flag(tmp_path):
                          ("solve", '{"nonlinearity": 3}')):
         config.write_text(bad)
         assert main([command, "--config", str(config)] + out) == EXIT_USAGE, bad
+
+
+def test_each_command_declares_the_flags_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    common = ["--config", "--out", "--seed"]
+    evolution = common + ["--d", "--dt", "--epsilon", "--horizon", "--lattice-radius",
+                          "--nonlinearity"]
+    assert flags == {
+        "verify": sorted(common + ["--dims", "--lattice-radius", "--n-random",
+                                   "--structural"]),
+        "solve": sorted(evolution + ["--defect-budget", "--max-iterations",
+                                     "--picard-tol"]),
+        "compare-kg": sorted(evolution + ["--distance-budget", "--mass", "--refine"]),
+        "audit": sorted(common + ["--constant", "--d", "--lattice-radius",
+                                  "--nonlinearity", "--tail-ratio"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "compare-kg", "audit"])
+def test_out_under_a_file_is_a_usage_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--out", str(out)]) == EXIT_USAGE, out
+        assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["file"]
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["solve", "compare-kg"])
+def test_iteration_budget_failure_writes_diagnostics(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iterations": 1}))
+    out = str(tmp_path / "fail")
+    code = main([command, "--config", str(cfg), "--out", out, "--lattice-radius", "4",
+                 "--dt", "0.0625", "--horizon", "0.25"])
+    assert code == EXIT_SOLVER
+    rep = _read_report(out)
+    assert (rep["command"], rep["converged"], rep["passed"]) == (command, False, False)
+    assert rep["diagnostics"]["iterations"] == 1
+
+
+# a JSON value of a type that each annotation refuses
+_WRONG_TYPE = {"int": 1.5, "float": "1.0", "bool": 0, "str": 3, "tuple[int, ...]": [1, "2"]}
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_config_value_of_the_wrong_type_is_refused_before_setup(
+        tmp_path, monkeypatch, field):
+    def no_setup(d):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(cli, "build_gamma", no_setup)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field.name: _WRONG_TYPE[field.type.removesuffix(" | None")]}))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+    assert os.listdir(tmp_path) == ["cfg.json"]
