@@ -99,9 +99,8 @@ class RunConfig:
     tail_ratio: float | None = None
 
     def __post_init__(self):
-        # structural mode fixes the radius at 1 and ignores this option
         radius = self.lattice_radius
-        if radius is not None and radius < 1 and not self.structural:
+        if radius is not None and radius < 1:
             raise ValueError(f"lattice_radius must be >= 1, got {radius}")
         for name in ("defect_budget", "distance_budget"):
             value = getattr(self, name)
@@ -297,6 +296,8 @@ def _verify_checks(cfg: RunConfig, gammas: dict, rng):
 
 
 def _verify_setup(cfg: RunConfig) -> dict:
+    if cfg.structural and cfg.lattice_radius is not None:
+        raise ValueError("structural mode runs at radius 1 and takes no lattice_radius")
     return {d: build_gamma(d) for d in cfg.dims}
 
 

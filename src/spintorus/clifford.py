@@ -40,14 +40,14 @@ class GammaSet:
     alpha: tuple[np.ndarray, ...]
     beta: np.ndarray
 
-    def dirac_symbol(self, xi) -> np.ndarray:
-        """The matrix sum_j alpha^j xi_j + beta at frequencies ``xi`` of shape
-        (..., d), shape (..., d0, d0)."""
+    def dirac_symbol(self, xi, mass: float = 1.0) -> np.ndarray:
+        """H_m = sum_j alpha^j xi_j + mass beta at frequencies ``xi`` of shape
+        (..., d), shape (..., d0, d0); H_m^2 = (|xi|^2 + mass^2) I."""
         xi = np.asarray(xi, dtype=float)
         h = np.zeros(xi.shape[:-1] + (self.d0, self.d0), dtype=np.complex128)
         for j in range(self.d):
             h += xi[..., j, None, None] * self.alpha[j]
-        h += self.beta
+        h += mass * self.beta
         return h
 
 

@@ -10,8 +10,8 @@ Runge-Kutta stepper, also on psi, with the free propagators U(dt/2) and U(dt)
 built once; the second-order (Klein-Gordon type) evolution; and the pointwise
 equation residual along any trajectory.
 
-The mass is normalised to 1 throughout the split solver (the general mass
-enters the second-order evolution and the residual explicitly).
+The mass is normalised to 1 in the split solver; the second-order route and
+the residual take a general mass m through the Dirac symbol H_m alone.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     times = cfg.dt * np.arange(cfg.n_frames)
     proj = {s: projector_symbol(g, lattice.xi, s) for s in (+1, -1)}
     phase = _phases(times, lattice)
-    free = sum(phase[s][..., None] * project_dirac(g, psi0, s).coeffs
+    free = sum(phase[s][..., None] * apply_matrices(proj[s], psi0.coeffs)
                for s in (+1, -1))
 
     def duhamel_map(psi: np.ndarray) -> np.ndarray:
@@ -317,19 +317,13 @@ def second_order_data(
     mass: float = 1.0,
 ) -> SecondOrderState:
     """Time-derivative data consistent with the first-order equation:
-    v = -gamma^0 sum_j gamma^j d_j psi0 - i m gamma^0 psi0 + i gamma^0 F(psi0).
+    v = -i (H_m psi0 - beta F(psi0)), with H_m the Dirac symbol of mass m.
     """
     lattice = psi0.lattice
-    coeffs = psi0.coeffs
-    v = np.zeros_like(coeffs)
-    for j in range(g.d):
-        dj = 1j * lattice.xi[..., j, None] * coeffs  # true derivative d/dx^j
-        v -= apply_constant(g.alpha[j], dj)
-    v -= 1j * mass * apply_constant(g.beta, coeffs)
+    h_psi = apply_matrices(g.dirac_symbol(lattice.xi, mass), psi0.coeffs)
     if F is not None and not F.is_zero():
-        fc = evaluate_coefficients(F, coeffs, lattice)
-        v += 1j * apply_constant(g.beta, fc)
-    return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, v))
+        h_psi -= apply_constant(g.beta, evaluate_coefficients(F, psi0.coeffs, lattice))
+    return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, -1j * h_psi))
 
 
 def _second_order_rhs(
@@ -343,27 +337,25 @@ def _second_order_rhs(
 
         G = m F + i sum_j gamma^j J d_j psi + K (m psi - F - i sum_j gamma^j d_j psi)
 
-    with J the Jacobian of F at psi and K = gamma^0 J gamma^0 (alpha^j =
-    gamma^0 gamma^j, beta = gamma^0).  psi and its d derivatives go to the
-    grid in one transform.
+    with J the Jacobian of F at psi and K = beta J beta.  As gamma^j = beta
+    alpha^j, the bracket is beta (H_m psi - beta F), H_m the Dirac symbol.
+    F is holomorphic, so J d_j psi = d_j F(psi), and truncation P commutes
+    with d_j on the alias-free grid: the middle term is -beta (H_m - m beta) F^ and
+
+        G = 2 m F^ - beta (H_m F^ - P[J (H_m psi - beta F)]),
+
+    with one transform each way and one Jacobian apply.
     """
     if F is None or F.is_zero():
         return np.zeros_like(u_hat)
     d = lattice.d
     grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
-    ik = 1j * np.moveaxis(lattice.xi, -1, 0)[..., None]  # (d,) + shape + (1,)
-    fields = to_grid(np.concatenate((u_hat[None], ik * u_hat)), d, grid)
-    psi, derivs = fields[0], fields[1:]
-    jac = jacobian(F, psi)
+    h = g.dirac_symbol(lattice.xi, mass)
+    psi, h_psi = to_grid(np.stack((u_hat, apply_matrices(h, u_hat))), d, grid)
     fval = evaluate(F, psi)
-    gamma0 = g.gamma[0]
-    out = mass * fval
-    inner = mass * psi - fval
-    for j in range(d):
-        out += 1j * apply_constant(g.gamma[j + 1], apply_matrices(jac, derivs[j]))
-        inner -= 1j * apply_constant(g.gamma[j + 1], derivs[j])
-    out += apply_constant(gamma0, apply_matrices(jac, apply_constant(gamma0, inner)))
-    return from_grid(out, d, lattice.radius)
+    kick = apply_matrices(jacobian(F, psi), h_psi - apply_constant(g.beta, fval))
+    f_hat, kick_hat = from_grid(np.stack((fval, kick)), d, lattice.radius)
+    return 2.0 * mass * f_hat - apply_constant(g.beta, apply_matrices(h, f_hat) - kick_hat)
 
 
 def kg_frequencies(lattice: FrequencyLattice, mass: float, dt: float) -> np.ndarray:
@@ -440,22 +432,18 @@ def dirac_residual(
 
     The time derivative is a central difference on the frame grid, spatial
     derivatives are spectral; returns (interior times, residual values).
-    For a true solution the values sit at discretisation level, O(dt^4).
+    The residual i d_t psi - H_m psi + beta F is gamma^0 times the covariant
+    one, with the same norm.  For a true solution the values sit at
+    discretisation level, O(dt^4).
     """
     if tr.n_frames < 3:
         raise ValueError("residual needs at least 3 frames")
     lattice = tr.lattice
-    dt = tr.dt
-    dt_psi = (tr.frames[2:] - tr.frames[:-2]) / (2.0 * dt)
     mid = tr.frames[1:-1]
-    # i gamma^mu d_mu psi - m psi + F(psi)
-    res = 1j * apply_constant(g.gamma[0], dt_psi)
-    for j in range(g.d):
-        dj = 1j * lattice.xi[..., j, None] * mid
-        res += 1j * apply_constant(g.gamma[j + 1], dj)
-    res -= mass * mid
+    res = (0.5j / tr.dt) * (tr.frames[2:] - tr.frames[:-2])
+    res -= apply_matrices(g.dirac_symbol(lattice.xi, mass), mid)
     if F is not None and not F.is_zero():
-        res += evaluate_coefficients(F, mid, lattice)
+        res += apply_constant(g.beta, evaluate_coefficients(F, mid, lattice))
     m = res.shape[0]
     values = np.linalg.norm(res.reshape(m, -1), axis=1) ** 2
     return tr.times[1:-1], values

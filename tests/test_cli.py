@@ -258,6 +258,9 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["compare-kg", "--dt", "0.5"]) == EXIT_USAGE
     assert main(["verify", "--lattice-radius", "-1"]) == EXIT_USAGE
     assert main(["verify", "--lattice-radius", "0"]) == EXIT_USAGE
+    # structural mode runs on the radius-1 lattice, so it takes no radius
+    assert main(["verify", "--structural", "--lattice-radius", "5", "--dims", "1"]) == EXIT_USAGE
+    assert main(["verify", "--structural", "--lattice-radius", "0", "--dims", "1"]) == EXIT_USAGE
     assert main(["solve", "--horizon", "1e-9"]) == EXIT_USAGE
     assert main(["solve", "--horizon", "0.00390625"]) == EXIT_USAGE
     assert main(["audit", "--lattice-radius", "0"]) == EXIT_USAGE
@@ -321,6 +324,10 @@ def test_usage_exit_on_bad_flag(tmp_path):
                          ("solve", '{"nonlinearity": 3}')):
         config.write_text(bad)
         assert main([command, "--config", str(config)] + out) == EXIT_USAGE, bad
+    config.write_text('{"structural": true, "lattice_radius": 5}')
+    assert main(["verify", "--config", str(config), "--dims", "1"] + out) == EXIT_USAGE
+    # the refusal is verify's: solve does not read structural mode
+    assert main(["solve", "--config", str(config), "--horizon", "0.0234375"] + out) == EXIT_OK
 
 
 def test_each_command_declares_the_flags_it_reads():

@@ -332,16 +332,16 @@ def test_second_order_data_zero_and_consistency(rng):
     z = SpinorField.zeros(LAT16, 2)
     state = second_order_data(z, F, G1, 1.0)
     assert state.v.l2_norm() == 0.0
-    # independent oracle: v^ = -i H(xi) psi^ + i beta F^(psi)
+    # independent oracle: v^ = -i H_m(xi) psi^ + i beta F^(psi)
     psi0 = gaussian_data(LAT16, 2, 0.01, 0.5, seed=12)
-    state = second_order_data(psi0, F, G1, 1.0)
     fc = evaluate_coefficients(F, psi0.coeffs, LAT16)
-    expect = np.zeros_like(psi0.coeffs)
-    for idx in range(LAT16.shape[0]):
-        xi = LAT16.xi[idx]
-        h = G1.dirac_symbol(xi)
-        expect[idx] = -1j * (h @ psi0.coeffs[idx]) + 1j * (G1.beta @ fc[idx])
-    assert np.abs(state.v.coeffs - expect).max() <= 1e-12
+    for mass in (1.0, 0.7):
+        state = second_order_data(psi0, F, G1, mass)
+        expect = np.zeros_like(psi0.coeffs)
+        for idx in range(LAT16.shape[0]):
+            h = LAT16.xi[idx, 0] * G1.alpha[0] + mass * G1.beta
+            expect[idx] = -1j * (h @ psi0.coeffs[idx]) + 1j * (G1.beta @ fc[idx])
+        assert np.abs(state.v.coeffs - expect).max() <= 1e-12, mass
 
 
 def test_klein_gordon_free_plane_wave_exact():
@@ -432,9 +432,11 @@ def test_second_order_rhs_matches_term_by_term_source(rng, d, family):
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_second_order_rhs_transforms_once(monkeypatch, rng):
-    # psi and its d derivatives share one transform; d + 1 Jacobian applies
-    calls = {"to_grid": 0, "apply_matrices": 0}
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_second_order_rhs_transforms_and_applies_once(monkeypatch, rng, d):
+    # psi and H_m psi share one transform, F and the kick share one, and the
+    # Jacobian is applied once, at every d
+    calls = dict.fromkeys(("to_grid", "from_grid", "jacobian", "apply_matrices"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -444,10 +446,10 @@ def test_second_order_rhs_transforms_once(monkeypatch, rng):
 
     for name in calls:
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-    g = build_gamma(3)
-    lat = FrequencyLattice(3, 2)
+    g = build_gamma(d)
+    lat = FrequencyLattice(d, 2)
     _second_order_rhs(random_field(lat, g.d0, rng).coeffs, bundled_cubic(g.d0), g, lat, 1.0)
-    assert calls == {"to_grid": 1, "apply_matrices": 4}
+    assert calls == {"to_grid": 1, "from_grid": 1, "jacobian": 1, "apply_matrices": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +491,33 @@ def test_residual_refinement_rate_on_solver_output():
 
     r1, r2 = resid(1.0 / 16.0), resid(1.0 / 32.0)
     assert np.log2(r1 / r2) >= 1.8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_residual_matches_covariant_form(rng, d):
+    # i gamma^0 d_t psi + i sum_j gamma^j d_j psi - m psi + F(psi), term by
+    # term on O(1) frames; gamma^0 is unitary, so its norm is the residual's
+    g = build_gamma(d)
+    lat = FrequencyLattice(d, 2)
+    F = bundled_cubic(g.d0)
+    dt = 0.1
+    frames = np.stack([random_field(lat, g.d0, rng).coeffs for _ in range(5)])
+    frames /= np.sqrt(lat.size)
+    tr = Trajectory(lat, g.d0, dt * np.arange(5), frames)
+
+    def const(m, x):
+        return np.einsum("ab,...b->...a", m, x)
+
+    mid = frames[1:-1]
+    for mass in (1.0, 0.7):
+        res = 1j * const(g.gamma[0], (frames[2:] - frames[:-2]) / (2.0 * dt))
+        for j in range(d):
+            res += 1j * const(g.gamma[j + 1], 1j * lat.xi[..., j, None] * mid)
+        res -= mass * mid
+        res += evaluate_coefficients(F, mid, lat)
+        ref = np.linalg.norm(res.reshape(3, -1), axis=1) ** 2
+        _, values = dirac_residual(tr, F, g, mass)
+        assert np.abs(values - ref).max() <= 1e-12 * ref.max(), mass
 
 
 def test_residual_needs_three_frames(rng):

@@ -15,9 +15,11 @@ Live code is the package's modules, ``perfbench/`` and the acceptance suite.
 * Every defaulted parameter of a top-level package function is passed, by
   keyword or by position, by at least one live call, unless the function is
   on ``KEPT``: a default that no caller overrides is a constant.  The same
-  holds for the defaulted public fields of a package dataclass, which a live
-  call may also set through ``dataclasses.replace``, or live code by
-  assigning the attribute (matched by name only).
+  holds for the defaulted parameters of a public method of a package class,
+  whose calls ``x.name(...)`` are matched by the method's name only, and for
+  the defaulted public fields of a package dataclass, which a live call may
+  also set through ``dataclasses.replace``, or live code by assigning the
+  attribute (matched by name only).
 * No module-level import of ``src/spintorus`` goes unused.
 """
 
@@ -192,13 +194,23 @@ def _defaulted(node) -> list:
 
 def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
     """Defaulted parameters of top-level package functions that no live call
-    passes, as "module.function(parameter)", and defaulted public fields of
-    package dataclasses that no live call sets and no live code assigns as
-    an attribute, as "module.Class.field"; names on ``kept`` are skipped.  A
-    ``*`` or ``**`` argument counts as passing every parameter it could
-    fill, and ``dataclasses.replace`` sets its keywords on every dataclass."""
-    targets = {(mod, node.name): node for mod, tree in _modules(package).items()
+    passes, as "module.function(parameter)", the same for public methods of
+    package classes, as "module.Class.method(parameter)", and defaulted
+    public fields of package dataclasses that no live call sets and no live
+    code assigns as an attribute, as "module.Class.field"; names on ``kept``
+    are skipped.  A method call ``x.name(...)`` counts for every method of
+    that name, with its first parameter bound.  A ``*`` or ``**`` argument
+    counts as passing every parameter it could fill, and
+    ``dataclasses.replace`` sets its keywords on every dataclass."""
+    parsed = _modules(package)
+    targets = {(mod, node.name): node for mod, tree in parsed.items()
                for node in tree.body if isinstance(node, FUNCTIONS) or _is_dataclass(node)}
+    methods = {}  # method name -> [(label, node)]
+    for mod, tree in parsed.items():
+        for cls in tree.body:
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(fn, FUNCTIONS) and not fn.name.startswith("_"):
+                    methods.setdefault(fn.name, []).append((f"{mod}.{cls.name}.{fn.name}", fn))
     passed, stored, replaced = set(), set(), set()
     for _, tree, names, modules in _live_files(package, external):
         for node in ast.walk(tree):
@@ -209,15 +221,19 @@ def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
             keywords = {k.arg for k in node.keywords}  # None stands for **
             if ast.unparse(node.func) in ("replace", "dataclasses.replace"):
                 replaced |= keywords
-            target = _resolve(node.func, names, modules)
-            if target not in targets:
-                continue
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             n_positional = math.inf if starred else len(node.args)
-            for name, position in _defaulted(targets[target]):
-                if (name in keywords or None in keywords
-                        or (position is not None and position < n_positional)):
-                    passed.add((target, name))
+            called = []  # (target, definition, parameters bound before the arguments)
+            target = _resolve(node.func, names, modules)
+            if target in targets:
+                called.append((target, targets[target], 0))
+            if isinstance(node.func, ast.Attribute):
+                called += [(label, fn, 1) for label, fn in methods.get(node.func.attr, ())]
+            for target, definition, bound in called:
+                for name, position in _defaulted(definition):
+                    if (name in keywords or None in keywords
+                            or (position is not None and position - bound < n_positional)):
+                        passed.add((target, name))
     unset = []
     for (mod, name), node in targets.items():
         for param, _ in _defaulted(node):
@@ -229,6 +245,9 @@ def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
                     unset.append(label)
             elif f"{mod}.{name}" not in kept:
                 unset.append(f"{mod}.{name}({param})")
+    unset += [f"{label}({param})" for same_name in methods.values()
+              for label, fn in same_name if label not in kept
+              for param, _ in _defaulted(fn) if (label, param) not in passed]
     return sorted(unset)
 
 
@@ -268,18 +287,21 @@ class Limits:
 
 
 class Box:
-    def used(self):
-        return 1
+    def used(self, offset=0):
+        return 1 + offset
 
     def unread(self):
         return 2
+
+    def resized(self, size=1):
+        return size
 
 
 def scale(x, factor=2.0, shift=0.0):
     return factor * x + shift
 
 
-TOTAL = scale(Box().used())
+TOTAL = scale(Box().used()) + Box().resized(2)
 LIMITS = Limits(3, "three")
 '''
 
@@ -292,15 +314,16 @@ def test_rules_report_a_synthetic_package(tmp_path):
     for path in callers:
         path.write_text("")
     assert _unread_members(package, callers) == ["box.Box.unread"]
-    # label is set by position; nothing sets strict
+    # label and Box.resized's size are set by position; nothing sets strict
+    # or Box.used's offset
     assert _unset_parameters(package, callers) == [
-        "box.Limits.strict", "box.scale(factor)", "box.scale(shift)"]
-    kept = {"box.scale": "exempt", "box.Limits.strict": "exempt"}
+        "box.Box.used(offset)", "box.Limits.strict", "box.scale(factor)", "box.scale(shift)"]
+    kept = {"box.scale": "exempt", "box.Limits.strict": "exempt", "box.Box.used": "exempt"}
     assert _unset_parameters(package, callers, kept=kept) == []
     # the same code with a live reader and live callers, by position and
     # keyword, and a live attribute assignment
     callers[0].write_text("from spintorus import box\n\nbox.Box().unread()\nbox.scale(1.0, 3.0)\n"
-                          "box.LIMITS.strict = True\n")
+                          "box.LIMITS.strict = True\nbox.Box().used(1)\n")
     callers[1].write_text("from spintorus.box import scale\n\nscale(1.0, shift=1.0)\n")
     assert _unread_members(package, callers) == []
     assert _unset_parameters(package, callers) == []
