@@ -129,11 +129,13 @@ def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
 
 def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
     """Scales j whose annuli 2^j <= |s| <= 2^{j+2} cover every positive
-    value of ``w``; (0, 0) when there is none."""
+    value of ``w``; (0, 0) when there is none.  jmin is one below the exact
+    binary exponent of the least value, so every value 2^e <= s < 2^{e+1}
+    has both its scales e - 1 and e in range."""
     pos = w[w > 0]
     if pos.size == 0:
         return 0, 0
-    jmin = int(np.floor(np.log2(pos.min()))) - 1
+    jmin = int(np.frexp(pos.min())[1]) - 2
     jmax = int(np.ceil(np.log2(pos.max())))
     return jmin, jmax
 

@@ -151,6 +151,9 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     (tr~ the windowed DFT over the frames, divided by M; summed over spinor
     components), so ||Q_i B tr||^2_{L^2_t L^2_x} is the row dotted with b^2
     for every diagonal multiplier B of symbol b: one time DFT serves all.
+    The annulus is open, 1 < |s| < 4, so a distance 2^e <= s < 2^{e+1}
+    meets only the scales e - 1 and e, and a zero distance meets none; each
+    value is evaluated at those two scales alone.
     """
     if tr.n_frames < 2:
         raise ValueError("modulation norms need at least 2 frames")
@@ -159,11 +162,22 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     spec *= window_length(tr) / m**2
     dist = modulation_distance(tr, sign).reshape(m, -1)
     jmin, jmax = covering_scale_range(dist)
-    rows = [
-        np.sum(annulus_profile(np.ldexp(dist, -i)) ** 2 * spec, axis=0)
-        for i in range(jmin, jmax + 1)
-    ]
-    return jmin, np.array(rows)
+    n = dist.shape[1]
+
+    def scale_rows(i: np.ndarray) -> np.ndarray:
+        # each value's term at its own scale i, summed per (scale, point); a
+        # zero distance (e = -1) is 0 at every scale, so clipping its key
+        # into range adds nothing.  One call's temporaries are freed before
+        # the next call makes its own.
+        weight = annulus_profile(np.ldexp(dist, -i)) ** 2 * spec
+        key = np.clip(i - jmin, 0, jmax - jmin) * n + np.arange(n)
+        return np.bincount(key.ravel(), weights=weight.ravel(),
+                           minlength=(jmax - jmin + 1) * n)
+
+    e = np.frexp(dist)[1] - 1
+    rows = scale_rows(e - 1)
+    rows += scale_rows(e)
+    return jmin, rows.reshape(-1, n)
 
 
 def modulation_norm(

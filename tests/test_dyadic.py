@@ -215,6 +215,14 @@ def test_modulation_telescoping_away_from_characteristic(rng):
     assert np.abs(acc - clean).max() <= 1e-10 * np.abs(frames).max()
 
 
+def test_covering_range_uses_exact_binary_exponents():
+    # log2 rounds 2^20 (1 - 2^-53) up to 20, but its binary exponent is 19:
+    # the range must hold both scales 18 and 19 that the value can meet
+    below = np.nextafter(2.0**20, 0.0)
+    assert covering_scale_range(np.array([0.0, below])) == (18, 20)
+    assert covering_scale_range(np.array([0.0, 0.0])) == (0, 0)
+
+
 def test_modulation_needs_two_frames(rng):
     lat = FrequencyLattice(1, 2)
     tr = Trajectory(lat, 2, np.array([0.0]), np.zeros((1,) + lat.shape + (2,), complex))

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spintorus.clifford import build_gamma
-from spintorus.dyadic import radial_scale_range, radial_symbol
+from spintorus.dyadic import (
+    annulus_profile,
+    covering_scale_range,
+    modulation_distance,
+    radial_scale_range,
+    radial_symbol,
+    window_length,
+)
 from spintorus.norms import (
+    _modulation_densities,
     bernstein_ratios,
     besov_norm,
     block_norm,
@@ -216,6 +226,45 @@ def test_modulation_norm_lp_aggregation(rng):
         )
     expected = float(np.sum(np.array(vals) ** 2) ** 0.5)
     assert modulation_norm(tr, -1, 0.5, 2) == pytest.approx(expected, rel=1e-10)
+
+
+def _dense_modulation_densities(tr, sign):
+    """Every scale of the covering range evaluated on the whole (tau, xi) grid."""
+    m = tr.n_frames
+    spec = np.sum(np.abs(np.fft.fft(tr.frames, axis=0)) ** 2, axis=-1).reshape(m, -1)
+    spec *= window_length(tr) / m**2
+    dist = modulation_distance(tr, sign).reshape(m, -1)
+    jmin, jmax = covering_scale_range(dist)
+    rows = [np.sum(annulus_profile(np.ldexp(dist, -i)) ** 2 * spec, axis=0)
+            for i in range(jmin, jmax + 1)]
+    return jmin, np.array(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    radius=st.integers(1, 4),
+    m=st.sampled_from([2, 3, 5, 8]),
+    dt=st.sampled_from([None, 0.1, 0.37]),
+    sign=st.sampled_from([+1, -1]),
+    seed=st.integers(0, 10_000),
+)
+@example(d=2, radius=2, m=8, dt=None, sign=-1, seed=0)
+def test_modulation_densities_match_dense_per_scale_formula(d, radius, m, dt, sign, seed):
+    # dt = None is 2 pi / m: the frequencies tau are then exact integers, and
+    # at xi = 0 the distances |tau +- 1| hit zero and exact powers of two
+    lat = FrequencyLattice(d, radius)
+    rng = np.random.default_rng(seed)
+    shape = (m,) + lat.shape + (2,)
+    frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tr = Trajectory(lat, 2, (2 * np.pi / m if dt is None else dt) * np.arange(m), frames)
+    if dt is None and m == 8:
+        dist = modulation_distance(tr, sign)
+        assert {0.0, 1.0, 2.0, 4.0} <= set(dist.ravel().tolist())
+    jmin, rows = _modulation_densities(tr, sign)
+    want_jmin, want = _dense_modulation_densities(tr, sign)
+    assert jmin == want_jmin and rows.shape == want.shape
+    np.testing.assert_allclose(rows, want, rtol=1e-13, atol=0.0)
 
 
 def test_mixed_norm_axioms(rng):
