@@ -33,6 +33,7 @@ from .dyadic import (
     build_cap_cover,
     cap_symbols,
     cube_partition_sum,
+    radial_scale_range,
     radial_symbol,
     wide_radial_symbol,
 )
@@ -226,7 +227,7 @@ def _verify_checks(cfg: RunConfig, gammas: dict, rng):
         radius = radius_of[d]
         lattice = FrequencyLattice(d, radius)
         err = 0.0
-        jmax = max(int(np.ceil(np.log2(np.sqrt(d) * radius))), 1)
+        jmax = max(radial_scale_range(lattice), 1)
         blocks = [(radial_symbol(lattice, j)[..., None],
                    wide_radial_symbol(lattice, j + 1)[..., None]) for j in range(jmax)]
         for _ in range(50):

@@ -77,11 +77,10 @@ def wide_radial_symbol(lattice: FrequencyLattice, j: int) -> np.ndarray:
     return wide_annulus_profile(r, j)
 
 
-def radial_scale_range(lattice: FrequencyLattice) -> tuple[int, int]:
-    """Scales j whose annulus intersects the nonzero lattice."""
-    rmax = float(np.sqrt(lattice.d) * lattice.radius)
-    jmax = int(np.ceil(np.log2(rmax)))
-    return -2, jmax
+def radial_scale_range(lattice: FrequencyLattice) -> int:
+    """jmax = ceil(log2(sqrt(d) N)), N the lattice radius: the scales whose
+    annulus meets the nonzero lattice are -2 < j < jmax."""
+    return int(np.ceil(np.log2(np.sqrt(lattice.d) * lattice.radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +128,14 @@ def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
 
 def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
     """Scales j whose annuli 2^j <= |s| <= 2^{j+2} cover every positive
-    value of ``w``; (0, 0) when there is none.  jmin is one below the exact
-    binary exponent of the least value, so every value 2^e <= s < 2^{e+1}
-    has both its scales e - 1 and e in range."""
+    value of ``w``; (0, 0) when there is none.  A value 2^e <= s < 2^{e+1}
+    meets only the scales e - 1 and e, so from the exact binary exponents,
+    jmin is e - 1 of the least value and jmax is e of the largest."""
     pos = w[w > 0]
     if pos.size == 0:
         return 0, 0
     jmin = int(np.frexp(pos.min())[1]) - 2
-    jmax = int(np.ceil(np.log2(pos.max())))
+    jmax = int(np.frexp(pos.max())[1]) - 1
     return jmin, jmax
 
 

@@ -46,10 +46,10 @@ class PowerSeriesNonlinearity:
         self.terms = clean
         if (0,) * self.d0 in self.terms:
             raise ValueError("constant term present but the series must vanish at 0")
-        # the support evaluate and jacobian work from: per term, its
+        # the support evaluate and jacobian_product work from: per term, its
         # (component, exponent) factors and its (a, c_a, first) triples with
-        # c_a != 0, where first marks the first term that writes component a;
-        # evaluate zeroes the components that no term writes
+        # c_a != 0, where first marks the first term that writes component a
+        # for evaluate, which zeroes the components that no term writes
         written = set()
         self._support = []
         for p, c in self.terms.items():
@@ -194,18 +194,19 @@ def evaluate(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     return out
 
 
-def jacobian(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
-    """Jacobian dF_a/dpsi_b at one or many values, shape (..., d0, d0)."""
+def jacobian_product(F: PowerSeriesNonlinearity, psi, v) -> np.ndarray:
+    """J(psi) v = sum_p c_p sum_b p_b psi^{p - e_b} v_b without forming J, at
+    one or many values; the result has the memory layout of psi, as in evaluate."""
     psi = np.asarray(psi, dtype=np.complex128)
-    out = np.zeros(psi.shape + (F.d0,), dtype=np.complex128)
+    out = np.zeros_like(psi)
     powers = _powers(psi, F._top)
     for factors, coeffs in F._support:
         for b, eb in factors:
             # d/dpsi_b lowers the factor psi_b^eb by one (drops it at eb = 1)
             lowered = [(k, e - (k == b)) for k, e in factors if (k, e) != (b, 1)]
-            mono = _monomial(powers, lowered, float(eb))
+            mono = _monomial(powers, lowered, v[..., b])
             for a, c, _ in coeffs:
-                out[..., a, b] += c * mono
+                out[..., a] += eb * c * mono
     return out
 
 

@@ -75,7 +75,7 @@ def besov_norm(f: SpinorField, s: float) -> float:
     lat = f.lattice
     r = np.sqrt(lat.xi_norm_sq)
     low = lowpass_profile(r)
-    _, jmax = radial_scale_range(lat)
+    jmax = radial_scale_range(lat)
     syms = [radial_symbol(lat, j) for j in range(0, jmax + 1)]
     denom = low**2
     for sym in syms:
@@ -228,7 +228,7 @@ def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:
     sum of the trajectory's two densities weighted by radial_symbol(j)^2.
     """
     lat = tr.lattice
-    _, jmax = radial_scale_range(lat)
+    jmax = radial_scale_range(lat)
     amp = np.abs(tr.frames).max(axis=(0, -1))
     symbols = {j: radial_symbol(lat, j) for j in range(0, jmax + 1)}
     scales = [j for j, sym in symbols.items() if np.any(amp * sym > 0.0)]
@@ -310,7 +310,7 @@ def measure_bernstein_constant(
     are 0 <= j < jmax of ``radial_scale_range``.  The scan reads the largest
     entries of the |xi^alpha|^2 annulus table that ``bernstein_ratios`` uses.
     """
-    _, jmax = radial_scale_range(lattice)
+    jmax = radial_scale_range(lattice)
     rng = np.random.default_rng(seed)
     alphas = [alpha for order in range(1, max_order + 1)
               for alpha in multi_indices(lattice.d, order)]

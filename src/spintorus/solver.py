@@ -28,7 +28,7 @@ from .nonlinear import (
     PowerSeriesNonlinearity,
     evaluate,
     evaluate_coefficients,
-    jacobian,
+    jacobian_product,
     padded_grid_size,
 )
 from .norms import sobolev_norm, solution_norm
@@ -355,17 +355,16 @@ def _second_order_rhs(
 
         G = 2 m F^ - beta (H_m F^ - P[J (H_m psi - beta F)]),
 
-    with one transform each way and one Jacobian apply.
+    with one transform each way and one Jacobian-vector product, J never formed.
     """
     if F is None or F.is_zero():
         return np.zeros_like(u_hat)
-    d = lattice.d
     grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
     h = g.dirac_symbol(lattice.xi, mass)
-    psi, h_psi = to_grid(np.stack((u_hat, apply_matrices(h, u_hat))), d, grid)
+    psi, h_psi = to_grid(np.stack((u_hat, apply_matrices(h, u_hat))), lattice.d, grid)
     fval = evaluate(F, psi)
-    kick = apply_matrices(jacobian(F, psi), h_psi - apply_constant(g.beta, fval))
-    f_hat, kick_hat = from_grid(np.stack((fval, kick)), d, lattice.radius)
+    kick = jacobian_product(F, psi, h_psi - apply_constant(g.beta, fval))
+    f_hat, kick_hat = from_grid(np.stack((fval, kick)), lattice.d, lattice.radius)
     return 2.0 * mass * f_hat - apply_constant(g.beta, apply_matrices(h, f_hat) - kick_hat)
 
 

@@ -217,9 +217,10 @@ def test_modulation_telescoping_away_from_characteristic(rng):
 
 def test_covering_range_uses_exact_binary_exponents():
     # log2 rounds 2^20 (1 - 2^-53) up to 20, but its binary exponent is 19:
-    # the range must hold both scales 18 and 19 that the value can meet
+    # the range holds both scales 18 and 19 that the value can meet, and no
+    # scale above them
     below = np.nextafter(2.0**20, 0.0)
-    assert covering_scale_range(np.array([0.0, below])) == (18, 20)
+    assert covering_scale_range(np.array([0.0, below])) == (18, 19)
     assert covering_scale_range(np.array([0.0, 0.0])) == (0, 0)
 
 

@@ -23,7 +23,7 @@ from spintorus.nonlinear import (
     evaluate_coefficients,
     growth_audit,
     growth_threshold,
-    jacobian,
+    jacobian_product,
     load_nonlinearity,
     matrix_weights,
     multinomial_split,
@@ -127,10 +127,18 @@ def _series_cases(rng):
 def test_evaluate_and_jacobian_match_naive_sums(rng, case, shape):
     F = _series_cases(rng)[case]
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for fast, slow in ((evaluate(F, psi), naive_evaluate(F, psi)),
-                       (jacobian(F, psi), naive_jacobian(F, psi))):
-        assert fast.shape == slow.shape
-        assert np.abs(fast - slow).max() <= 1e-14 * max(1.0, np.abs(slow).max())
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fast, slow = evaluate(F, psi), naive_evaluate(F, psi)
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-14 * max(1.0, np.abs(slow).max())
+    _assert_product_matches_naive(F, psi, v)
+
+
+def _assert_product_matches_naive(F, psi, v):
+    fast = jacobian_product(F, psi, v)
+    slow = (naive_jacobian(F, psi) @ v[..., None])[..., 0]
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-13 * max(1.0, np.abs(slow).max())
 
 
 def test_evaluate_bundled_cubic_bit_equal_on_33_cube(rng):
@@ -141,14 +149,19 @@ def test_evaluate_bundled_cubic_bit_equal_on_33_cube(rng):
 
 @pytest.mark.parametrize("case", ["dense", "one-hot", "mixed", "empty", "cubic"])
 def test_evaluate_keeps_layout_of_component_major_view(rng, case):
-    # the padded grids of to_grid are component-major views; evaluate reads
-    # them as they are and gives the numbers of the contiguous copy
+    # the padded grids of to_grid are component-major views; evaluate and
+    # jacobian_product read them as they are and give the numbers of the
+    # contiguous copies
     F = _series_cases(rng)[case]
-    planes = rng.standard_normal((3, 2, 7, 5)) + 1j * rng.standard_normal((3, 2, 7, 5))
-    view = planes.transpose(1, 2, 3, 0)
-    out = evaluate(F, view)
-    assert np.array_equal(out, evaluate(F, np.ascontiguousarray(view)))
-    assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+    planes = rng.standard_normal((2, 3, 2, 7, 5)) + 1j * rng.standard_normal((2, 3, 2, 7, 5))
+    view, direction = planes.transpose(0, 2, 3, 4, 1)
+    flat, flat_direction = np.ascontiguousarray(view), np.ascontiguousarray(direction)
+    for out, ref in ((evaluate(F, view), evaluate(F, flat)),
+                     (jacobian_product(F, view, direction),
+                      jacobian_product(F, flat, flat_direction))):
+        assert np.array_equal(out, ref)
+        assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+    _assert_product_matches_naive(F, view, direction)
 
 
 def test_evaluate_zeroes_components_no_term_writes(rng):
@@ -165,13 +178,10 @@ def test_evaluate_zeroes_components_no_term_writes(rng):
 def test_jacobian_matches_finite_differences(rng):
     F = _random_series(rng, n_terms=4)
     psi = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    jac = jacobian(F, psi)
     h = 1e-7
-    for b in range(2):
-        e = np.zeros(2, dtype=complex)
-        e[b] = h
-        fd = (evaluate(F, psi + e) - evaluate(F, psi - e)) / (2 * h)
-        assert np.abs(jac[:, b] - fd).max() <= 1e-6
+    for v in (*np.eye(2, dtype=complex), rng.standard_normal(2) + 1j * rng.standard_normal(2)):
+        fd = (evaluate(F, psi + h * v) - evaluate(F, psi - h * v)) / (2 * h)
+        assert np.abs(jacobian_product(F, psi, v) - fd).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def test_solution_norm_monotone_in_sigma(rng):
 
 def _per_piece_solution_norm(tr, sigma, sign):
     # the definition: block norm of each nonzero annulus piece P_j tr
-    _, jmax = radial_scale_range(tr.lattice)
+    jmax = radial_scale_range(tr.lattice)
     breakdown = {}
     for j in range(0, jmax + 1):
         sym = radial_symbol(tr.lattice, j)[None, ..., None]

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_nonlinear import naive_jacobian
 
 from spintorus import solver
 from spintorus.clifford import build_gamma
@@ -11,7 +12,6 @@ from spintorus.nonlinear import (
     bundled_geometric,
     evaluate,
     evaluate_coefficients,
-    jacobian,
     padded_grid_size,
 )
 from spintorus.norms import solution_norm
@@ -241,6 +241,30 @@ def test_solve_memory_stays_pinned(monkeypatch):
     assert max(held) / size <= 4.5
 
 
+def test_klein_gordon_memory_stays_pinned():
+    # tracemalloc counts every numpy buffer.  Over the trajectory's bytes the
+    # second-order route peaks at 16.65 here, in a step's source on the
+    # padded grid; forming the (..., d0, d0) Jacobian there raised it to
+    # 20.57.  d = 3 has d0 = 4, so such a matrix is four fields.
+    g = build_gamma(3)
+    lat = FrequencyLattice(3, 2)
+    F = bundled_cubic(g.d0)
+    psi0 = gaussian_data(lat, g.d0, 1e-3, 1.0, seed=3)
+
+    def run():
+        state = second_order_data(psi0, F, g, 1.0)
+        return evolve_klein_gordon(state, F, g, 1.0, 1.0 / 8.0, 1.0)
+
+    run()  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        tr = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / tr.frames.nbytes <= 17.5
+
+
 def test_contraction_ratio_monotone_in_epsilon():
     # smaller data contracts at least as fast (5 sizes, first ratios compared)
     F = bundled_cubic(2)
@@ -467,7 +491,7 @@ def _second_order_rhs_by_terms(u_hat, F, g, lattice, mass):
     psi = to_grid(u_hat, lattice.d, grid)
     derivs = [to_grid(1j * lattice.xi[..., j, None] * u_hat, lattice.d, grid)
               for j in range(g.d)]
-    jac = jacobian(F, psi)
+    jac = naive_jacobian(F, psi)
     fval = evaluate(F, psi)
 
     def const(m, x):
@@ -504,8 +528,8 @@ def test_second_order_rhs_matches_term_by_term_source(rng, d, family):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_second_order_rhs_transforms_and_applies_once(monkeypatch, rng, d):
     # psi and H_m psi share one transform, F and the kick share one, and the
-    # Jacobian is applied once, at every d
-    calls = dict.fromkeys(("to_grid", "from_grid", "jacobian", "apply_matrices"), 0)
+    # kick is one Jacobian-vector product, at every d
+    calls = dict.fromkeys(("to_grid", "from_grid", "jacobian_product", "apply_matrices"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -518,7 +542,7 @@ def test_second_order_rhs_transforms_and_applies_once(monkeypatch, rng, d):
     g = build_gamma(d)
     lat = FrequencyLattice(d, 2)
     _second_order_rhs(random_field(lat, g.d0, rng).coeffs, bundled_cubic(g.d0), g, lat, 1.0)
-    assert calls == {"to_grid": 1, "from_grid": 1, "jacobian": 1, "apply_matrices": 3}
+    assert calls == {"to_grid": 1, "from_grid": 1, "jacobian_product": 1, "apply_matrices": 2}
 
 
 # ---------------------------------------------------------------------------
