@@ -43,7 +43,7 @@ from .nonlinear import (
     growth_audit,
     load_nonlinearity_file,
 )
-from .norms import measure_bernstein_constant
+from .norms import frame_norms, measure_bernstein_constant
 from .spectral import (
     FrequencyLattice,
     japanese_bracket,
@@ -360,10 +360,7 @@ def _solve_setup(cfg: RunConfig):
 
 def _relative_defect(tr, F, g, mass: float) -> tuple[np.ndarray, np.ndarray, float]:
     times, values = dirac_residual(tr, F, g, mass)
-    m = tr.n_frames
-    sup_sq = float(
-        (np.linalg.norm(tr.frames.reshape(m, -1), axis=1) ** 2).max()
-    )
+    sup_sq = float((frame_norms(tr.frames) ** 2).max())
     return times, values, float(values.max() / max(sup_sq, 1e-300))
 
 
@@ -420,12 +417,7 @@ def _compare_once(cfg: RunConfig, g, scfg: SolveConfig, psi0):
     res = picard_solve(replace(scfg, monitor_solution_norm=False), psi0)
     state = second_order_data(psi0, Fs, g, cfg.mass)
     kg = evolve_klein_gordon(state, Fs, g, cfg.mass, scfg.dt, scfg.horizon)
-    m = res.trajectory.n_frames
-    dist = float(
-        np.linalg.norm(
-            (kg.frames - res.trajectory.frames).reshape(m, -1), axis=1
-        ).max()
-    )
+    dist = float(frame_norms(kg.frames - res.trajectory.frames).max())
     _, _, defect_first = _relative_defect(res.trajectory, Fs, g, 1.0)
     _, _, defect_second = _relative_defect(kg, Fs, g, cfg.mass)
     return dist, defect_first, defect_second

@@ -340,7 +340,11 @@ def growth_threshold(constant: float, d: int) -> float:
     if not (math.isfinite(constant) and constant > 0):
         raise ValueError(f"derivative constant must be positive and finite, "
                          f"got {constant}")
-    return constant ** (-d / 2.0 - 0.25) * 2.0 ** (-d / 2.0) / 3.0
+    try:
+        return constant ** (-d / 2.0 - 0.25) * 2.0 ** (-d / 2.0) / 3.0
+    except OverflowError:
+        raise ValueError(f"derivative constant {constant} is too small: its "
+                         f"threshold at d={d} is not finite") from None
 
 
 def matrix_weights(g: GammaSet, c: np.ndarray) -> tuple[float, float, float]:

@@ -1,14 +1,14 @@
 """Function-space norms of spinor fields and trajectories: Sobolev and Besov
-norms of one field, mixed L^p_t L^q_x norms, modulation norms, the block and
-solution-space norms, the measured derivative-vs-scale constant and the
-projector boundedness probe.
+norms of one field, the per-frame L^2 norm kernel, the critical modulation
+seminorm, the block and solution-space norms, the measured
+derivative-vs-scale constant and the projector boundedness probe.
 
-Spatial L^q norms use the normalised measure dx/(2pi)^d; time norms are
-trapezoid quadrature on the frame grid (max for p = infinity).  The
-modulation-based norms use the periodic-window discrete time transform, so
-their L^2_t pairing is the DFT Parseval sum; this is the desk-scale
-surrogate for the whole-line transform and its leakage is part of the test
-budgets.
+``frame_norms`` is the one place where a trajectory's per-frame L^2 norms
+are computed; the sup-in-time energy, the Picard stopping test and the
+equation residual all read it.  The modulation-based norms use the
+periodic-window discrete time transform, so their L^2_t pairing is the DFT
+Parseval sum; this is the desk-scale surrogate for the whole-line transform
+and its leakage is part of the test budgets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .spectral import (
     SpinorField,
     Trajectory,
     apply_matrices,
-    grid_lq_norms,
     projector_symbol,
     random_field,
 )
@@ -89,48 +88,20 @@ def besov_norm(f: SpinorField, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mixed space-time norms
+# frame L^2 norms
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    m = times.size
-    if m == 1:
-        return np.zeros(1)
-    dt = float(times[1] - times[0])
-    w = np.full(m, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
+def frame_norms(frames: np.ndarray) -> np.ndarray:
+    """The L^2 norm of each frame, frames[k] for k along the first axis.
 
-
-def _time_aggregate(values: np.ndarray, times: np.ndarray, p: float) -> float:
-    if p == np.inf:
-        return float(values.max()) if values.size else 0.0
-    w = _trapezoid_weights(times)
-    return float(np.sum(w * values**p) ** (1.0 / p))
-
-
-def _spatial_norms(tr: Trajectory, q: float) -> np.ndarray:
-    """Per-frame spatial L^q norms, vectorised over frames."""
-    if q == 2:
-        return np.linalg.norm(
-            tr.frames.reshape(tr.n_frames, -1), axis=1
-        )
-    qq = int(q) if q != np.inf and float(q).is_integer() else 4
-    grid = max(qq, 4) * tr.lattice.radius + 1
-    return grid_lq_norms(tr.frames, tr.lattice.d, q, grid)
-
-
-def mixed_norm(tr: Trajectory, p: float, q: float) -> float:
-    """L^p in time of the spatial L^q norms (p or q may be numpy.inf).
-
-    q = 2 is an exact lattice sum; finite even q are exact grid quadratures;
-    other q use the same grid as plain quadrature.
+    Each squared norm is one dot product of the frame's float64 view with
+    itself, with no complex temporary.  Other dtypes are cast to complex128
+    or float64 first, and any other layout is copied to C order.
     """
-    if tr.n_frames < 1:
-        raise ValueError("empty trajectory")
-    if not (1 <= p) or not (1 <= q):
-        raise ValueError("exponents must lie in [1, inf]")
-    return _time_aggregate(_spatial_norms(tr, q), tr.times, p)
+    m = frames.shape[0]
+    dtype = np.complex128 if np.iscomplexobj(frames) else np.float64
+    flat = np.ascontiguousarray(frames.reshape(m, -1), dtype=dtype).view(np.float64)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(m))
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +151,15 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     return jmin, rows.reshape(-1, n)
 
 
-def modulation_norm(
-    tr: Trajectory,
-    sign: int,
-    weight: float = 0.5,
-    p: float = np.inf,
-) -> float:
-    """l^p over scales j of 2^{weight*j} ||Q_j tr||_{L^2_t L^2_x}.
+def modulation_norm(tr: Trajectory, sign: int) -> float:
+    """The critical modulation seminorm sup_j 2^{j/2} ||Q_j tr||_{L^2_t L^2_x}.
 
     Scales are restricted to those representable on the discrete (tau, xi)
     grid of the trajectory window.
     """
     jmin, rows = _modulation_densities(tr, sign)
     scales = jmin + np.arange(len(rows))
-    pieces = 2.0 ** (weight * scales) * np.sqrt(rows.sum(axis=1))
-    if p == np.inf:
-        return float(pieces.max())
-    return float(np.sum(pieces**p) ** (1.0 / p))
+    return float((2.0 ** (0.5 * scales) * np.sqrt(rows.sum(axis=1))).max())
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +175,8 @@ def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
     j >= 1 for d <= 3, caps are not built for d > 3, and the solution norm
     only uses blocks at j >= 1, so the term would be 0 in every norm.
     """
-    energy = mixed_norm(tr, np.inf, 2)
-    modu = modulation_norm(tr, sign, 0.5, np.inf)
+    energy = float(frame_norms(tr.frames).max())
+    modu = modulation_norm(tr, sign)
     return NormReport(
         value=energy + modu,
         breakdown={"energy": energy, "modulation": modu},

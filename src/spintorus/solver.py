@@ -31,7 +31,7 @@ from .nonlinear import (
     jacobian_product,
     padded_grid_size,
 )
-from .norms import sobolev_norm, solution_norm
+from .norms import frame_norms, sobolev_norm, solution_norm
 from .spectral import (
     FrequencyLattice,
     SpinorField,
@@ -72,8 +72,11 @@ class SecondOrderState:
 
 def frame_count(dt: float, horizon: float) -> int:
     """Number of frames 0, dt, ..., horizon; raises unless horizon / dt is a
-    whole number."""
-    m = int(round(horizon / dt)) + 1
+    finite whole number."""
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon {horizon} / dt {dt} is not a finite number of steps")
+    m = int(round(steps)) + 1
     if abs((m - 1) * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of steps")
     return m
@@ -174,13 +177,6 @@ class PicardResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sup_frame_norm(frames: np.ndarray) -> float:
-    """max_k ||frames[k]||_{L^2}: each frame's squared norm is one dot
-    product of its float64 view with itself, with no complex temporary."""
-    flat = frames.reshape(frames.shape[0], -1).view(np.float64)
-    return math.sqrt(float((flat[:, None, :] @ flat[:, :, None]).max()))
-
-
 def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     """Solve the split system by Picard iteration of the Duhamel map.
 
@@ -231,7 +227,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     converged = False
     for it in range(1, cfg.max_iterations + 1):
         new = duhamel_map(psi)
-        dist = _sup_frame_norm(new - psi) / max(_sup_frame_norm(psi), 1e-300)
+        dist = float(frame_norms(new - psi).max() / max(frame_norms(psi).max(), 1e-300))
         distances.append(dist)
         diagnostics["iterations"] = it
         if not math.isfinite(dist):
@@ -252,12 +248,12 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     # does not add to their memory
     del free
     diagnostics["duhamel_residual"] = dist
-    scale = max(_sup_frame_norm(psi), 1e-300)
+    scale = max(float(frame_norms(psi).max()), 1e-300)
     # branch-range defects: each branch must stay in its projector's range
     plus = apply_matrices(proj[+1], psi)
     branches = {+1: plus, -1: psi - plus}
     diagnostics["projector_range_defect"] = max(
-        _sup_frame_norm(apply_matrices(proj[-s], branches[s])) / scale
+        float(frame_norms(apply_matrices(proj[-s], branches[s])).max()) / scale
         for s in (+1, -1)
     )
     if cfg.monitor_solution_norm:
@@ -454,9 +450,7 @@ def dirac_residual(
     res -= apply_matrices(g.dirac_symbol(lattice.xi, mass), mid)
     if F is not None and not F.is_zero():
         res += apply_constant(g.beta, evaluate_coefficients(F, mid, lattice))
-    m = res.shape[0]
-    values = np.linalg.norm(res.reshape(m, -1), axis=1) ** 2
-    return tr.times[1:-1], values
+    return tr.times[1:-1], frame_norms(res) ** 2
 
 
 def sobolev_monitor(tr: Trajectory, s: float, bound: float = 3.0) -> dict:

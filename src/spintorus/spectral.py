@@ -10,7 +10,6 @@ Conventions (used consistently across the package):
   and the L^2 norm of a field equals the l^2 norm of its coefficients.  On a
   uniform grid this is exactly numpy's ``norm="forward"``: the forward DFT is
   scaled by 1/n, the inverse is unscaled.
-* L^q norms on the torus use the normalised measure dx/(2pi)^d.
 * ``to_grid`` / ``from_grid`` are the one place where coefficients are placed
   on (and truncated from) a padded spatial grid and where the transform is
   chosen; every other module goes through them.  Both rotate the axes
@@ -282,16 +281,6 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     for _ in range(d):
         coeffs = _transform_axis(coeffs.reshape(b, -1, grid), grid, radius)
     return coeffs.reshape(batch + (2 * radius + 1,) * d + (d0,))
-
-
-def grid_lq_norms(coeffs: np.ndarray, d: int, q: float, grid: int) -> np.ndarray:
-    """Spatial L^q norms (normalised measure) of a batch of coefficient boxes,
-    by quadrature on ``grid``^d points; one value per batch entry."""
-    mag = np.linalg.norm(to_grid(coeffs, d, grid), axis=-1)
-    flat = mag.reshape(mag.shape[: mag.ndim - d] + (-1,))
-    if q == np.inf:
-        return flat.max(axis=-1)
-    return np.mean(flat**q, axis=-1) ** (1.0 / q)
 
 
 def forward_fourier(samples: np.ndarray, lattice: FrequencyLattice) -> SpinorField:

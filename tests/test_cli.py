@@ -263,11 +263,15 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["verify", "--structural", "--lattice-radius", "0", "--dims", "1"]) == EXIT_USAGE
     assert main(["solve", "--horizon", "1e-9"]) == EXIT_USAGE
     assert main(["solve", "--horizon", "0.00390625"]) == EXIT_USAGE
+    # horizon / dt overflows to inf: no finite frame count
+    assert main(["solve", "--dt", "1e-300", "--horizon", "1e10"]) == EXIT_USAGE
+    assert main(["compare-kg", "--dt", "1e-300", "--horizon", "1e10"]) == EXIT_USAGE
     assert main(["audit", "--lattice-radius", "0"]) == EXIT_USAGE
     assert main(["solve", "--max-iterations", "0"]) == EXIT_USAGE
     assert main(["solve", "--epsilon", "nan"]) == EXIT_USAGE
     assert main(["audit", "--constant", "-1"]) == EXIT_USAGE
     assert main(["audit", "--constant", "0"]) == EXIT_USAGE
+    assert main(["audit", "--constant", "1e-300", "--d", "3"]) == EXIT_USAGE  # threshold overflows
     assert main(["audit", "--lattice-radius", "1"]) == EXIT_USAGE  # no annulus to measure
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
     assert main(["verify", "--n-random", "-3"]) == EXIT_USAGE

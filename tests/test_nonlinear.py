@@ -478,6 +478,8 @@ def test_threshold_rejects_bad_constant():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             growth_threshold(bad, 1)
+    with pytest.raises(ValueError, match="is not finite"):
+        growth_threshold(1e-300, 3)  # C^{-7/4} overflows
 
 
 def test_verdict_monotone_under_scaling(rng):

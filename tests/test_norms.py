@@ -19,8 +19,8 @@ from spintorus.norms import (
     bernstein_ratios,
     besov_norm,
     block_norm,
+    frame_norms,
     measure_bernstein_constant,
-    mixed_norm,
     modulation_norm,
     multi_indices,
     projector_bound_probe,
@@ -33,10 +33,10 @@ from spintorus.spectral import (
     SpinorField,
     Trajectory,
     derivative_monomial,
-    grid_lq_norms,
     japanese_bracket,
     plane_wave,
     random_field,
+    to_grid,
 )
 
 
@@ -137,47 +137,21 @@ def test_norm_axioms(rng):
 
 
 # ---------------------------------------------------------------------------
-# mixed norms
+# frame L^2 norms
 
 
-def test_mixed_constant_unit_field(rng):
-    lat = FrequencyLattice(1, 5)
-    f = random_field(lat, 2, rng)
-    f = f * (1.0 / f.l2_norm())
-    tr = _static_trajectory(f, m=9, dt=0.125)  # window [0, 1]
-    assert mixed_norm(tr, 2, 2) == pytest.approx(1.0, rel=1e-12)
+def _linalg_frame_norms(x):
+    return np.linalg.norm(x.reshape(x.shape[0], -1), axis=1)
 
 
-def test_mixed_sup_sup_is_max(rng):
-    lat = FrequencyLattice(1, 4)
-    tr = standard_probe_set(lat, 2, 1, 7, 0.1, seed=3)[0]
-    from spintorus.spectral import inverse_fourier
-
-    expected = max(
-        np.linalg.norm(inverse_fourier(tr.frame(k), 4 * 4 + 1), axis=-1).max()
-        for k in range(tr.n_frames)
-    )
-    assert mixed_norm(tr, np.inf, np.inf) == pytest.approx(expected, rel=1e-12)
-
-
-def test_mixed_hoelder_sanity(rng):
-    lat = FrequencyLattice(1, 4)
-    for tr in standard_probe_set(lat, 2, 5, 9, 0.2, seed=8):
-        l22 = mixed_norm(tr, 2, 2)
-        l12 = mixed_norm(tr, 1, 2)
-        li2 = mixed_norm(tr, np.inf, 2)
-        assert l22 <= math.sqrt(l12 * li2) * (1 + 1e-12)
-
-
-def test_mixed_quadrature_exact_for_l4(rng):
-    # |u|^4 is a trigonometric polynomial: compare default grid with a finer one
-    lat = FrequencyLattice(1, 4)
-    tr = standard_probe_set(lat, 2, 1, 5, 0.3, seed=1)[0]
-    from spintorus.norms import _spatial_norms
-
-    a = _spatial_norms(tr, 4)
-    b = grid_lq_norms(tr.frames, 1, 4, 97)
-    assert np.abs(a - b).max() <= 1e-12 * max(1.0, a.max())
+def test_frame_norms_match_per_frame_linalg_norm(rng):
+    coeffs = rng.standard_normal((5, 7, 7, 2)) + 1j * rng.standard_normal((5, 7, 7, 2))
+    grid_values = to_grid(coeffs, 2, 9)  # a component-major view
+    assert not grid_values.flags.c_contiguous
+    for x in (coeffs, grid_values, rng.standard_normal((4, 9, 3)), coeffs[:1]):
+        got, want = frame_norms(x), _linalg_frame_norms(x)
+        assert got.shape == (x.shape[0],)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +161,9 @@ def test_mixed_quadrature_exact_for_l4(rng):
 def test_modulation_norm_free_wave_budget():
     lat = FrequencyLattice(1, 4)
     tr = _free_wave_trajectory(lat, [3], sign=+1)
-    energy = mixed_norm(tr, 2, 2)
-    assert modulation_norm(tr, +1, 0.5, np.inf) <= 1e-6 * energy
+    # trapezoid L^2_t L^2_x energy over the frame grid
+    energy = math.sqrt(np.trapezoid(_linalg_frame_norms(tr.frames) ** 2, tr.times))
+    assert modulation_norm(tr, +1) <= 1e-6 * energy
 
 
 def test_modulation_norm_sup_aggregation(rng):
@@ -208,24 +183,7 @@ def test_modulation_norm_sup_aggregation(rng):
             2.0 ** (0.5 * j)
             * math.sqrt(tr.dt * float(np.sum(np.abs(q.frames) ** 2)))
         )
-    assert modulation_norm(tr, +1, 0.5, np.inf) == pytest.approx(max(vals), rel=1e-10)
-
-
-def test_modulation_norm_lp_aggregation(rng):
-    from spintorus.dyadic import covering_scale_range, modulation_block, modulation_distance
-
-    lat = FrequencyLattice(1, 3)
-    tr = standard_probe_set(lat, 2, 1, 12, 0.19, seed=12)[0]
-    jmin, jmax = covering_scale_range(modulation_distance(tr, -1))
-    vals = []
-    for j in range(jmin, jmax + 1):
-        q = modulation_block(tr, j, -1)
-        vals.append(
-            2.0 ** (0.5 * j)
-            * math.sqrt(tr.dt * float(np.sum(np.abs(q.frames) ** 2)))
-        )
-    expected = float(np.sum(np.array(vals) ** 2) ** 0.5)
-    assert modulation_norm(tr, -1, 0.5, 2) == pytest.approx(expected, rel=1e-10)
+    assert modulation_norm(tr, +1) == pytest.approx(max(vals), rel=1e-10)
 
 
 def _dense_modulation_densities(tr, sign):
@@ -268,14 +226,16 @@ def test_modulation_densities_match_dense_per_scale_formula(d, radius, m, dt, si
 
 
 def test_mixed_norm_axioms(rng):
+    # the sup-in-time L^2 energy, L^inf_t L^2_x, is a norm
     lat = FrequencyLattice(1, 4)
     a, b = standard_probe_set(lat, 2, 2, 7, 0.2, seed=13)
-    summed = Trajectory(lat, 2, a.times, a.frames + b.frames)
-    scaled = Trajectory(lat, 2, a.times, 2.5 * a.frames)
-    for p, q in ((2, 2), (4.0, 4.0), (np.inf, 2)):
-        na, nb, ns = mixed_norm(a, p, q), mixed_norm(b, p, q), mixed_norm(summed, p, q)
-        assert ns <= na + nb + 1e-10
-        assert mixed_norm(scaled, p, q) == pytest.approx(2.5 * na, rel=1e-10)
+
+    def energy(frames):
+        return float(frame_norms(frames).max())
+
+    na, nb = energy(a.frames), energy(b.frames)
+    assert energy(a.frames + b.frames) <= na + nb + 1e-10
+    assert energy(2.5 * a.frames) == pytest.approx(2.5 * na, rel=1e-10)
 
 
 def test_modulation_norm_window_doubling_stability():
@@ -292,8 +252,8 @@ def test_modulation_norm_window_doubling_stability():
     envelope2 = np.exp(-((times2 - 3.2) ** 2) / 0.3)
     frames2 = (envelope2 * np.exp(-1j * br * times2))[:, None, None] * w[None]
     tr2 = Trajectory(lat, 2, times2, frames2)
-    v1 = modulation_norm(tr1, +1, 0.5, np.inf)
-    v2 = modulation_norm(tr2, +1, 0.5, np.inf)
+    v1 = modulation_norm(tr1, +1)
+    v2 = modulation_norm(tr2, +1)
     assert abs(v1 - v2) <= 0.1 * v1
     # doubling the window halves the modulation resolution of the grid
     from spintorus.dyadic import time_frequencies
@@ -356,7 +316,7 @@ def _per_piece_solution_norm(tr, sigma, sign):
         piece = Trajectory(tr.lattice, tr.d0, tr.times, tr.frames * sym)
         if not np.any(np.abs(piece.frames) > 0.0):
             continue
-        block = mixed_norm(piece, np.inf, 2) + modulation_norm(piece, sign, 0.5, np.inf)
+        block = _linalg_frame_norms(piece.frames).max() + modulation_norm(piece, sign)
         breakdown[j] = 2.0 ** (sigma * j) * block
     return breakdown
 
@@ -367,7 +327,7 @@ def test_solution_norm_matches_per_piece_definition(d, radius, m):
     tr = standard_probe_set(lat, 2, 1, m, 0.17, seed=20 + d)[0]
     for sign in (+1, -1):
         block = block_norm(tr, 1, sign)
-        expect = mixed_norm(tr, np.inf, 2) + modulation_norm(tr, sign, 0.5, np.inf)
+        expect = _linalg_frame_norms(tr.frames).max() + modulation_norm(tr, sign)
         assert block.value == pytest.approx(expect, rel=1e-12)
         rep = solution_norm(tr, d / 2.0, sign)
         expect = _per_piece_solution_norm(tr, d / 2.0, sign)

@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 import re
@@ -310,6 +311,26 @@ def test_no_einsum_in_package():
         for path in sorted(src.glob("*.py"))
         for line in path.read_text().splitlines()
         if "einsum" in line
+    ]
+    assert offenders == []
+
+
+def _is_per_frame_linalg_norm(node) -> bool:
+    """np.linalg.norm(<...>.reshape(...), axis=1), on one line or several."""
+    return (isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.linalg.norm"
+            and any(".reshape(" in ast.unparse(arg) for arg in node.args)
+            and any(k.arg == "axis" and ast.unparse(k.value) == "1" for k in node.keywords))
+
+
+def test_no_per_frame_linalg_norm_in_package():
+    # per-frame L^2 norms come from norms.frame_norms: one kernel, one module
+    src = pathlib.Path(spintorus.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_per_frame_linalg_norm(node)
     ]
     assert offenders == []
 
