@@ -345,16 +345,15 @@ def _solve_setup(cfg: RunConfig):
     F = _resolve_nonlinearity(cfg.nonlinearity, g.d0)
     if not F.is_zero() and F.d0 != g.d0:
         raise ValueError(f"nonlinearity has d0={F.d0}, dimension d={d} needs {g.d0}")
-    s = cfg.s if cfg.s is not None else d / 2.0
     scfg = SolveConfig(
         d=d, radius=cfg.radius_for(d), dt=cfg.dt, horizon=cfg.horizon,
-        epsilon=cfg.epsilon, s=s, picard_tol=cfg.picard_tol,
+        epsilon=cfg.epsilon, s=cfg.s, picard_tol=cfg.picard_tol,
         max_iterations=cfg.max_iterations,
         nonlinearity=None if F.is_zero() else F,
     )
     if scfg.n_frames < 3:  # the residual needs an interior frame
         raise ValueError(f"horizon {cfg.horizon} must be at least two steps of {cfg.dt}")
-    psi0 = gaussian_data(scfg.lattice(), g.d0, cfg.epsilon, s, seed=cfg.seed)
+    psi0 = gaussian_data(scfg.lattice(), g.d0, cfg.epsilon, scfg.s, seed=cfg.seed)
     return g, scfg, psi0
 
 

@@ -1,5 +1,8 @@
-"""Frequency localisation operators: dyadic annuli, space-time modulation
-cutoffs, angular cap covers of the sphere and lattice cube partitions.
+"""Frequency localisation operators: dyadic annuli, the space-time
+modulation distance and its scale range, angular cap covers of the sphere
+and lattice cube partitions.  The modulation cutoff that filters a
+trajectory by its own time transform is a test reference in
+``tests/oracles.py``.
 
 All operators are diagonal in frequency (or in (tau, xi) for the modulation
 cutoffs), hence linear, mutually commuting and L^2-contractive whenever their
@@ -106,24 +109,6 @@ def modulation_distance(tr: Trajectory, sign: int) -> np.ndarray:
     tau = time_frequencies(tr)
     shape = (tr.n_frames,) + (1,) * tr.lattice.d
     return np.abs(tau.reshape(shape) + sign * tr.lattice.bracket[None, ...])
-
-
-def modulation_symbol(tr: Trajectory, j: int, sign: int) -> np.ndarray:
-    """annulus_profile(2^{-j} |tau +- <xi>|) on the discrete grid."""
-    return annulus_profile(np.ldexp(modulation_distance(tr, sign), -j))
-
-
-def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
-    """Restrict a trajectory to modulations 2^j <= |tau +- <xi>| <= 2^{j+2}.
-
-    The finite window is treated as periodic.
-    """
-    if tr.n_frames < 2:
-        raise ValueError("modulation cutoff needs at least 2 frames")
-    spec = np.fft.fft(tr.frames, axis=0)
-    spec *= modulation_symbol(tr, j, sign)[..., None]
-    out = np.fft.ifft(spec, axis=0)
-    return Trajectory(tr.lattice, tr.d0, tr.times, out)
 
 
 def covering_scale_range(w: np.ndarray) -> tuple[int, int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -46,9 +47,15 @@ def load_field(path: str) -> SpinorField:
 
 
 def save_trajectory(tr: Trajectory, directory: str, extra: dict | None = None) -> None:
-    """Directory layout: manifest.json plus frames/frame_NNNNN.spf."""
+    """Directory layout: manifest.json plus frames/frame_NNNNN.spf.  Frame
+    files of an earlier, longer run in the same directory are removed, so
+    ``frames`` holds exactly ``n_frames`` of them; other files are kept."""
     frames_dir = os.path.join(directory, "frames")
     os.makedirs(frames_dir, exist_ok=True)
+    for name in os.listdir(frames_dir):
+        match = re.fullmatch(r"frame_(\d{5,})\.spf", name)
+        if match and int(match[1]) >= tr.n_frames:
+            os.remove(os.path.join(frames_dir, name))
     manifest = {
         "d": tr.lattice.d,
         "radius": tr.lattice.radius,

@@ -1,6 +1,7 @@
 """Analytic nonlinearities as finitely supported power series in the spinor
-components, their field evaluation, the integral-remainder difference
-expansion, and the coefficient-growth audit with the smallness threshold.
+components, their field evaluation, and the coefficient-growth audit with
+the smallness threshold.  The integral-remainder difference expansion,
+whose weights the audit bounds, is a test reference in ``tests/oracles.py``.
 
 A nonlinearity is a map F: C^{d0} -> C^{d0} of the form
 F(psi) = sum_p c_p psi^p with multi-indices p over the components (monomials
@@ -276,34 +277,6 @@ def decrement_index(p, i: int):
     out = list(p)
     out[i - 1] = max(out[i - 1] - 1, 0)
     return tuple(out)
-
-
-def difference_expansion(F: PowerSeriesNonlinearity, u1, u2) -> np.ndarray:
-    """F(u1) - F(u2) via the integral-remainder closed form.
-
-    Expands the line integral of the Jacobian along u2 + s (u1 - u2) into
-    monomials in (u1 - u2) and u2 with weights c_p p_i E_{mn}/(|m|+1);
-    algebraically identical to the direct difference.
-    """
-    u1 = np.asarray(u1, dtype=np.complex128)
-    u2 = np.asarray(u2, dtype=np.complex128)
-    diff = u1 - u2
-    out = np.zeros(u1.shape, dtype=np.complex128)
-    for p, c in F.terms.items():
-        for i in range(1, F.d0 + 1):
-            if p[i - 1] == 0:
-                continue
-            q = decrement_index(p, i)
-            for (m, n), coeff in multinomial_split(q).items():
-                mono = np.ones(u1.shape[:-1], dtype=np.complex128)
-                for k in range(F.d0):
-                    if m[k]:
-                        mono = mono * diff[..., k] ** m[k]
-                    if n[k]:
-                        mono = mono * u2[..., k] ** n[k]
-                w = p[i - 1] * coeff / (sum(m) + 1)
-                out += (w * mono * diff[..., i - 1])[..., None] * c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Function-space norms of spinor fields and trajectories: Sobolev and Besov
-norms of one field, the per-frame L^2 norm kernel, the critical modulation
-seminorm, the block and solution-space norms, the measured
-derivative-vs-scale constant and the projector boundedness probe.
+norms of one field, the per-frame L^2 norm kernel, the solution-space norm,
+the measured derivative-vs-scale constant and the projector boundedness
+probe.  The critical modulation seminorm and a single scale block by their
+definitions are test references in ``tests/oracles.py``.
 
 ``frame_norms`` is the one place where a trajectory's per-frame L^2 norms
 are computed; the sup-in-time energy, the Picard stopping test and the
@@ -151,36 +152,8 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     return jmin, rows.reshape(-1, n)
 
 
-def modulation_norm(tr: Trajectory, sign: int) -> float:
-    """The critical modulation seminorm sup_j 2^{j/2} ||Q_j tr||_{L^2_t L^2_x}.
-
-    Scales are restricted to those representable on the discrete (tau, xi)
-    grid of the trajectory window.
-    """
-    jmin, rows = _modulation_densities(tr, sign)
-    scales = jmin + np.arange(len(rows))
-    return float((2.0 ** (0.5 * scales) * np.sqrt(rows.sum(axis=1))).max())
-
-
 # ---------------------------------------------------------------------------
 # solution-space norms
-
-
-def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
-    """Scale-j solution block norm: energy + modulation.
-
-    The blocks are the sup-in-time L^2 norm and the critical modulation
-    seminorm (weight 1/2, sup over scales).  There is no cap x cube sector
-    term: its angular window ceil((d+2)j/(2d-2)) <= l <= j is empty at every
-    j >= 1 for d <= 3, caps are not built for d > 3, and the solution norm
-    only uses blocks at j >= 1, so the term would be 0 in every norm.
-    """
-    energy = float(frame_norms(tr.frames).max())
-    modu = modulation_norm(tr, sign)
-    return NormReport(
-        value=energy + modu,
-        breakdown={"energy": energy, "modulation": modu},
-    )
 
 
 def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:

@@ -90,10 +90,6 @@ class FrequencyLattice:
         """<xi> = (1 + |xi|^2)^(1/2) over the lattice."""
         return _lattice_cache(self.d, self.radius)[2]
 
-    def min_grid(self) -> int:
-        """Smallest alias-free spatial grid size per axis."""
-        return 2 * self.radius + 1
-
 
 def japanese_bracket(xi):
     """(1 + |xi|^2)^(1/2) for frequencies of shape (..., d); a float for one."""
@@ -118,10 +114,6 @@ class SpinorField:
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
-    @classmethod
-    def zeros(cls, lattice: FrequencyLattice, d0: int) -> "SpinorField":
-        return cls(lattice, d0, np.zeros(lattice.shape + (d0,), dtype=np.complex128))
-
     def copy(self) -> "SpinorField":
         return SpinorField(self.lattice, self.d0, self.coeffs.copy())
 
@@ -141,27 +133,10 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def _index(self, xi) -> tuple[int, ...]:
-        idx = tuple(int(x) + self.lattice.radius for x in xi)
-        for i in idx:
-            if i < 0 or i >= 2 * self.lattice.radius + 1:
-                raise ValueError(f"frequency {xi} outside the lattice")
-        return idx
-
-    def set_coefficient(self, xi, value) -> None:
-        self.coeffs[self._index(xi)] = value
-
 
 def _check_compatible(a: SpinorField, b: SpinorField) -> None:
     if a.lattice != b.lattice or a.d0 != b.d0:
         raise ValueError("fields live on different lattices or spinor dimensions")
-
-
-def plane_wave(lattice: FrequencyLattice, d0: int, xi, spinor) -> SpinorField:
-    """Single-mode field u(x) = e^{i x.xi} * spinor."""
-    f = SpinorField.zeros(lattice, d0)
-    f.set_coefficient(xi, np.asarray(spinor, dtype=np.complex128))
-    return f
 
 
 def random_field(
@@ -283,34 +258,6 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     return coeffs.reshape(batch + (2 * radius + 1,) * d + (d0,))
 
 
-def forward_fourier(samples: np.ndarray, lattice: FrequencyLattice) -> SpinorField:
-    """Grid samples -> lattice coefficients with the 1/(2pi)^d normalisation.
-
-    ``samples`` has shape (M,)*d + (d0,) for a uniform grid x_k = 2 pi k / M.
-    Exact (to rounding) on fields band-limited to the lattice; M < 2N+1 would
-    alias lattice modes and is rejected.
-    """
-    d, radius = lattice.d, lattice.radius
-    if samples.ndim != d + 1:
-        raise ValueError("samples must have one trailing spinor axis")
-    m = samples.shape[0]
-    if any(samples.shape[ax] != m for ax in range(d)):
-        raise ValueError("spatial grid must be uniform across axes")
-    if m < 2 * radius + 1:
-        raise ValueError(
-            f"grid with {m} points per axis aliases a radius-{radius} lattice"
-        )
-    return SpinorField(lattice, samples.shape[-1], from_grid(samples, d, radius))
-
-
-def inverse_fourier(f: SpinorField, grid: int | None = None) -> np.ndarray:
-    """Evaluate the finite Fourier series on a uniform grid of ``grid``^d points."""
-    m = grid if grid is not None else f.lattice.min_grid()
-    if m < 2 * f.lattice.radius + 1:
-        raise ValueError("grid too coarse for the lattice (aliasing)")
-    return to_grid(f.coeffs, f.lattice.d, m)
-
-
 # ---------------------------------------------------------------------------
 # per-frequency multipliers
 
@@ -331,18 +278,6 @@ def apply_constant(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     if flat.flags.c_contiguous:
         return (flat @ mat.T).reshape(x.shape)
     return (mat @ flat.mT).mT.reshape(x.shape)
-
-
-def derivative_monomial(f: SpinorField, alpha) -> SpinorField:
-    """D^alpha f for a multi-index alpha (coefficients times prod xi_j^alpha_j)."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != f.lattice.d or any(a < 0 for a in alpha):
-        raise ValueError("alpha must be a nonnegative multi-index of length d")
-    sym = np.ones(f.lattice.shape)
-    for j, a in enumerate(alpha):
-        if a:
-            sym = sym * f.lattice.xi[..., j] ** a
-    return SpinorField(f.lattice, f.d0, f.coeffs * sym[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,108 @@
+"""Reference definitions that the unit tests compare the package against.
+
+Each one computes its quantity straight from the definition, in the form
+the package's batched or collapsed code replaced: a single-mode field, a
+derivative as a lattice multiplier, a modulation cutoff by its own time
+transform, the modulation seminorm and a scale block, and F(u1) - F(u2)
+by the integral-remainder expansion.  No command or benchmark calls them.
+"""
+
+import numpy as np
+
+from spintorus.dyadic import annulus_profile, modulation_distance
+from spintorus.nonlinear import PowerSeriesNonlinearity, decrement_index, multinomial_split
+from spintorus.norms import NormReport, _modulation_densities, frame_norms
+from spintorus.spectral import FrequencyLattice, SpinorField, Trajectory
+
+
+def plane_wave(lattice: FrequencyLattice, d0: int, xi, spinor) -> SpinorField:
+    """Single-mode field u(x) = e^{i x.xi} * spinor; xi lies on the lattice."""
+    coeffs = np.zeros(lattice.shape + (d0,), dtype=np.complex128)
+    coeffs[tuple(int(x) + lattice.radius for x in xi)] = spinor
+    return SpinorField(lattice, d0, coeffs)
+
+
+def derivative_monomial(f: SpinorField, alpha) -> SpinorField:
+    """D^alpha f for a multi-index alpha (coefficients times prod xi_j^alpha_j)."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != f.lattice.d or any(a < 0 for a in alpha):
+        raise ValueError("alpha must be a nonnegative multi-index of length d")
+    sym = np.ones(f.lattice.shape)
+    for j, a in enumerate(alpha):
+        if a:
+            sym = sym * f.lattice.xi[..., j] ** a
+    return SpinorField(f.lattice, f.d0, f.coeffs * sym[..., None])
+
+
+def modulation_symbol(tr: Trajectory, j: int, sign: int) -> np.ndarray:
+    """annulus_profile(2^{-j} |tau +- <xi>|) on the discrete grid."""
+    return annulus_profile(np.ldexp(modulation_distance(tr, sign), -j))
+
+
+def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
+    """Restrict a trajectory to modulations 2^j <= |tau +- <xi>| <= 2^{j+2}.
+
+    The finite window is treated as periodic.
+    """
+    if tr.n_frames < 2:
+        raise ValueError("modulation cutoff needs at least 2 frames")
+    spec = np.fft.fft(tr.frames, axis=0)
+    spec *= modulation_symbol(tr, j, sign)[..., None]
+    out = np.fft.ifft(spec, axis=0)
+    return Trajectory(tr.lattice, tr.d0, tr.times, out)
+
+
+def modulation_norm(tr: Trajectory, sign: int) -> float:
+    """The critical modulation seminorm sup_j 2^{j/2} ||Q_j tr||_{L^2_t L^2_x}.
+
+    Scales are restricted to those representable on the discrete (tau, xi)
+    grid of the trajectory window.
+    """
+    jmin, rows = _modulation_densities(tr, sign)
+    scales = jmin + np.arange(len(rows))
+    return float((2.0 ** (0.5 * scales) * np.sqrt(rows.sum(axis=1))).max())
+
+
+def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
+    """Scale-j solution block norm: energy + modulation.
+
+    The blocks are the sup-in-time L^2 norm and the critical modulation
+    seminorm (weight 1/2, sup over scales).  There is no cap x cube sector
+    term: its angular window ceil((d+2)j/(2d-2)) <= l <= j is empty at every
+    j >= 1 for d <= 3, caps are not built for d > 3, and the solution norm
+    only uses blocks at j >= 1, so the term would be 0 in every norm.
+    """
+    energy = float(frame_norms(tr.frames).max())
+    modu = modulation_norm(tr, sign)
+    return NormReport(
+        value=energy + modu,
+        breakdown={"energy": energy, "modulation": modu},
+    )
+
+
+def difference_expansion(F: PowerSeriesNonlinearity, u1, u2) -> np.ndarray:
+    """F(u1) - F(u2) via the integral-remainder closed form.
+
+    Expands the line integral of the Jacobian along u2 + s (u1 - u2) into
+    monomials in (u1 - u2) and u2 with weights c_p p_i E_{mn}/(|m|+1);
+    algebraically identical to the direct difference.
+    """
+    u1 = np.asarray(u1, dtype=np.complex128)
+    u2 = np.asarray(u2, dtype=np.complex128)
+    diff = u1 - u2
+    out = np.zeros(u1.shape, dtype=np.complex128)
+    for p, c in F.terms.items():
+        for i in range(1, F.d0 + 1):
+            if p[i - 1] == 0:
+                continue
+            q = decrement_index(p, i)
+            for (m, n), coeff in multinomial_split(q).items():
+                mono = np.ones(u1.shape[:-1], dtype=np.complex128)
+                for k in range(F.d0):
+                    if m[k]:
+                        mono = mono * diff[..., k] ** m[k]
+                    if n[k]:
+                        mono = mono * u2[..., k] ** n[k]
+                w = p[i - 1] * coeff / (sum(m) + 1)
+                out += (w * mono * diff[..., i - 1])[..., None] * c
+    return out

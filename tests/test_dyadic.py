@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import derivative_monomial, modulation_block, plane_wave
 
 from spintorus.dyadic import (
     CAP_OVERLAP_BOUND,
@@ -13,7 +14,6 @@ from spintorus.dyadic import (
     cube_partition_sum,
     cube_symbol,
     lowpass_profile,
-    modulation_block,
     modulation_distance,
     normalized_bump_1d,
     radial_symbol,
@@ -25,7 +25,6 @@ from spintorus.spectral import (
     SpinorField,
     Trajectory,
     japanese_bracket,
-    plane_wave,
     random_field,
 )
 
@@ -139,8 +138,6 @@ def test_blocks_are_l2_contractive_and_commute(rng):
 
 def test_bernstein_type_bound_exact(rng):
     # |xi| <= 2^{j+2} on the block support makes the derivative bound exact
-    from spintorus.spectral import derivative_monomial
-
     lat = FrequencyLattice(2, 8)
     for _ in range(20):
         f = _times(random_field(lat, 1, rng), radial_symbol(lat, 1))

@@ -58,3 +58,19 @@ def test_trajectory_roundtrip(tmp_path, rng):
         manifest = json.load(fh)
     assert manifest["note"] == "test"
     assert manifest["n_frames"] == 4
+
+
+def test_shorter_trajectory_removes_stale_frames(tmp_path, rng):
+    # a longer run, then a shorter one into the same directory: only the
+    # package's own frame files past the new count go
+    lat = FrequencyLattice(1, 3)
+    run = tmp_path / "run"
+    longer, shorter = (
+        Trajectory(lat, 2, 0.5 * np.arange(m), rng.standard_normal((m,) + lat.shape + (2,)) + 0j)
+        for m in (6, 3))
+    save_trajectory(longer, str(run))
+    (run / "frames" / "notes.txt").write_text("kept")
+    save_trajectory(shorter, str(run))
+    assert sorted(p.name for p in (run / "frames").iterdir()) == [
+        "frame_00000.spf", "frame_00001.spf", "frame_00002.spf", "notes.txt"]
+    assert np.array_equal(load_trajectory(str(run)).frames, shorter.frames)

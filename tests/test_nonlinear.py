@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import difference_expansion, plane_wave
 
 from spintorus.clifford import build_gamma
 from spintorus.nonlinear import (
@@ -15,7 +16,6 @@ from spintorus.nonlinear import (
     bundled_cubic,
     bundled_geometric,
     decrement_index,
-    difference_expansion,
     difference_quantity,
     difference_split_maximum,
     direct_quantity,
@@ -29,7 +29,7 @@ from spintorus.nonlinear import (
     multinomial_split,
     load_nonlinearity_file,
 )
-from spintorus.spectral import FrequencyLattice, SpinorField, apply_matrices, plane_wave, random_field
+from spintorus.spectral import FrequencyLattice, SpinorField, apply_matrices, random_field
 
 
 @pytest.fixture
@@ -215,8 +215,7 @@ def test_field_cubic_plane_wave_support():
     F = bundled_cubic(2)
     f = plane_wave(lat, 2, [2], [0.5, 0.0])
     out = SpinorField(lat, 2, evaluate_coefficients(F, f.coeffs, lat))
-    expect = SpinorField.zeros(lat, 2)
-    expect.set_coefficient([6], [0.125, 0.0])
+    expect = plane_wave(lat, 2, [6], [0.125, 0.0])
     assert (out - expect).l2_norm() <= 1e-12
 
 

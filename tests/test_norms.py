@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import block_norm, derivative_monomial, modulation_block, modulation_norm, plane_wave
 
 from spintorus.clifford import build_gamma
 from spintorus.dyadic import (
@@ -18,10 +19,8 @@ from spintorus.norms import (
     _modulation_densities,
     bernstein_ratios,
     besov_norm,
-    block_norm,
     frame_norms,
     measure_bernstein_constant,
-    modulation_norm,
     multi_indices,
     projector_bound_probe,
     sobolev_norm,
@@ -32,9 +31,7 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
-    derivative_monomial,
     japanese_bracket,
-    plane_wave,
     random_field,
     to_grid,
 )
@@ -91,7 +88,7 @@ def test_sobolev_pythagoras(rng):
 
 def test_besov_of_zero_field_is_zero():
     lat = FrequencyLattice(1, 4)
-    assert besov_norm(SpinorField.zeros(lat, 2), 1.0) == 0.0
+    assert besov_norm(SpinorField(lat, 2, np.zeros(lat.shape + (2,))), 1.0) == 0.0
 
 
 def test_besov_agrees_with_l2_at_zero_index(rng):
@@ -118,9 +115,7 @@ def test_besov_single_annulus_weight():
     pw = plane_wave(lat, 2, [2 ** (j + 1)], [1.0, 0.0])  # plateau of scale j
     val = besov_norm(pw, s)
     assert val == pytest.approx(2.0 ** (s * j) * pw.l2_norm(), rel=1e-12)
-    spread = SpinorField.zeros(lat, 2)
-    spread.set_coefficient([5], [1.0, 0.0])
-    spread.set_coefficient([7], [0.0, 1.0])
+    spread = plane_wave(lat, 2, [5], [1.0, 0.0]) + plane_wave(lat, 2, [7], [0.0, 1.0])
     ratio = besov_norm(spread, s) / (2.0**(s * j) * spread.l2_norm())
     assert 1.0 / 3.0 <= ratio <= 3.0
 
@@ -167,10 +162,6 @@ def test_modulation_norm_free_wave_budget():
 
 
 def test_modulation_norm_sup_aggregation(rng):
-    from spintorus.dyadic import (
-        covering_scale_range, modulation_block, modulation_distance, window_length,
-    )
-
     lat = FrequencyLattice(1, 3)
     tr = standard_probe_set(lat, 2, 1, 16, 0.17, seed=2)[0]
     jmin, jmax = covering_scale_range(modulation_distance(tr, +1))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import plane_wave
 from test_nonlinear import naive_jacobian
 
 from spintorus import solver
@@ -39,7 +40,6 @@ from spintorus.spectral import (
     apply_matrices,
     from_grid,
     japanese_bracket,
-    plane_wave,
     project_dirac,
     projector_symbol,
     random_field,
@@ -422,7 +422,7 @@ def test_second_order_data_eigen_dispersion():
 
 def test_second_order_data_zero_and_consistency(rng):
     F = bundled_cubic(2)
-    z = SpinorField.zeros(LAT16, 2)
+    z = SpinorField(LAT16, 2, np.zeros(LAT16.shape + (2,)))
     state = second_order_data(z, F, G1, 1.0)
     assert state.v.l2_norm() == 0.0
     # independent oracle: v^ = -i H_m(xi) psi^ + i beta F^(psi)

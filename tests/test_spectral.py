@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spintorus
+from oracles import derivative_monomial, plane_wave
 from spintorus import spectral
 from spintorus.clifford import build_gamma
 from spintorus.spectral import (
@@ -15,12 +16,8 @@ from spintorus.spectral import (
     Trajectory,
     apply_constant,
     apply_matrices,
-    derivative_monomial,
-    forward_fourier,
     from_grid,
-    inverse_fourier,
     japanese_bracket,
-    plane_wave,
     project_dirac,
     projector_symbol,
     random_field,
@@ -40,68 +37,40 @@ def test_japanese_bracket_values():
 
 
 def test_forward_plane_wave_and_constant():
-    lat = FrequencyLattice(2, 4)
     grid = 16
     x = 2 * np.pi * np.arange(grid) / grid
     xx, yy = np.meshgrid(x, x, indexing="ij")
     samples = np.zeros((grid, grid, 2), dtype=complex)
     samples[..., 0] = np.exp(1j * (3 * xx - 2 * yy))
-    f = forward_fourier(samples, lat)
-    assert np.allclose(f.coeffs[7, 2], [1.0, 0.0], atol=1e-14)
-    total = np.abs(f.coeffs).sum()
+    f = from_grid(samples, 2, 4)
+    assert np.allclose(f[7, 2], [1.0, 0.0], atol=1e-14)
+    total = np.abs(f).sum()
     assert total == pytest.approx(1.0, abs=1e-13)
 
     const = np.full((9, 9, 2), 2.5 - 1j)
-    g = forward_fourier(const, lat)
-    assert np.allclose(g.coeffs[4, 4], 2.5 - 1j)
-    assert np.abs(g.coeffs).sum() == pytest.approx(abs(2.5 - 1j) * 2, abs=1e-12)
+    g = from_grid(const, 2, 4)
+    assert np.allclose(g[4, 4], 2.5 - 1j)
+    assert np.abs(g).sum() == pytest.approx(abs(2.5 - 1j) * 2, abs=1e-12)
 
 
 def test_roundtrip_band_limited(rng):
     lat = FrequencyLattice(2, 5)
     f = random_field(lat, 4, rng)
     for grid in (11, 16, 23):
-        back = forward_fourier(inverse_fourier(f, grid), lat)
-        assert np.abs(back.coeffs - f.coeffs).max() <= 1e-12
-
-
-def test_forward_rejects_coarse_grid():
-    lat = FrequencyLattice(1, 6)
-    with pytest.raises(ValueError, match="alias"):
-        forward_fourier(np.zeros((12, 2), dtype=complex), lat)
-    with pytest.raises(ValueError, match="alias|coarse"):
-        inverse_fourier(SpinorField.zeros(lat, 2), 12)
+        back = from_grid(to_grid(f.coeffs, 2, grid), 2, 5)
+        assert np.abs(back - f.coeffs).max() <= 1e-12
 
 
 def test_inverse_indicator_and_zero():
     lat = FrequencyLattice(1, 4)
     f = plane_wave(lat, 2, [3], [1.0, -1j])
     grid = 32
-    u = inverse_fourier(f, grid)
+    u = to_grid(f.coeffs, 1, grid)
     x = 2 * np.pi * np.arange(grid) / grid
     assert np.abs(u[..., 0] - np.exp(1j * 3 * x)).max() <= 1e-13
     assert np.abs(u[..., 1] + 1j * np.exp(1j * 3 * x)).max() <= 1e-13
-    z = inverse_fourier(SpinorField.zeros(lat, 2), 16)
+    z = to_grid(np.zeros(lat.shape + (2,), dtype=complex), 1, 16)
     assert np.abs(z).max() == 0.0
-
-
-@pytest.mark.parametrize("d, radius, grid", [(1, 6, 19), (2, 3, 10), (3, 2, 7)])
-def test_batched_grid_pair_matches_per_frame_transforms(rng, d, radius, grid):
-    lat = FrequencyLattice(d, radius)
-    frames = np.stack([random_field(lat, 2, rng).coeffs for _ in range(4)])
-    values = to_grid(frames, d, grid)
-    assert values.shape == (4,) + (grid,) * d + (2,)
-    for k in range(4):
-        ref = inverse_fourier(SpinorField(lat, 2, frames[k]), grid)
-        assert np.abs(values[k] - ref).max() <= 1e-14 * np.abs(ref).max()
-    coeffs = from_grid(values, d, radius)
-    assert coeffs.shape == frames.shape
-    for k in range(4):
-        ref = forward_fourier(values[k], lat).coeffs
-        assert np.abs(coeffs[k] - ref).max() <= 1e-14 * np.abs(ref).max()
-    # two batch axes behave like one
-    stacked = to_grid(frames.reshape((2, 2) + frames.shape[1:]), d, grid)
-    assert np.array_equal(stacked.reshape(values.shape), values)
 
 
 @pytest.mark.parametrize("box_shape", [(4,), (5,), (3, 4), (4, 5, 2)])
@@ -157,6 +126,9 @@ TRANSFORM_CASES = [
     ((), (40,), LONG + 4),
     ((), (3, 4), LONG - 1),
     ((), (5, 2), LONG + 1),
+    ((4,), (13,), 19),
+    ((4,), (7, 7), 10),
+    ((4,), (5, 5, 5), 7),
 ]
 
 
@@ -184,6 +156,9 @@ FROM_GRID_CASES = [
     ((), 1, 20, LONG + 3),
     ((), 2, 1, LONG - 1),
     ((), 2, 2, LONG),
+    ((4,), 1, 6, 19),
+    ((4,), 2, 3, 10),
+    ((4,), 3, 2, 7),
 ]
 
 
@@ -339,19 +314,9 @@ def test_plancherel_quadrature(rng):
     # (2 pi)^{-d} int |u|^2 dx  ==  sum_xi |u^(xi)|^2, quadrature on the grid
     lat = FrequencyLattice(2, 4)
     f = random_field(lat, 2, rng)
-    u = inverse_fourier(f, 17)
+    u = to_grid(f.coeffs, 2, 17)
     quad = float(np.mean(np.linalg.norm(u, axis=-1) ** 2))
     assert abs(quad - f.l2_norm() ** 2) <= 1e-10 * max(1.0, f.l2_norm() ** 2)
-
-
-def test_coefficient_access_rejects_frequency_outside_lattice():
-    lat = FrequencyLattice(1, 4)
-    for xi in ([-5], [5]):
-        with pytest.raises(ValueError, match="outside the lattice"):
-            plane_wave(lat, 2, xi, [1.0, 0.0])
-        with pytest.raises(ValueError, match="outside the lattice"):
-            SpinorField.zeros(lat, 2).set_coefficient(xi, [1.0, 0.0])
-    assert plane_wave(lat, 2, [-4], [1.0, 0.0]).coeffs[0, 0] == 1.0
 
 
 def test_projector_symbol_values():
@@ -420,10 +385,10 @@ def test_partial_derivative_against_finite_differences(rng):
     f = random_field(lat, 1, rng)
     errs = []
     for grid in (32, 64):
-        u = inverse_fourier(f, grid)
+        u = to_grid(f.coeffs, 1, grid)
         h = 2 * np.pi / grid
         fd = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * h)
-        spectral = inverse_fourier(derivative_monomial(f, (1,)), grid) * 1j  # d/dx = i D
+        spectral = to_grid(derivative_monomial(f, (1,)).coeffs, 1, grid) * 1j  # d/dx = i D
         errs.append(np.abs(fd - spectral).max())
     assert errs[1] <= errs[0] / 3.5  # order ~2
 
