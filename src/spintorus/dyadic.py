@@ -1,8 +1,9 @@
-"""Frequency localisation operators: dyadic annuli, the space-time
-modulation distance and its scale range, angular cap covers of the sphere
-and lattice cube partitions.  The modulation cutoff that filters a
-trajectory by its own time transform is a test reference in
-``tests/oracles.py``.
+"""Frequency localisation operators: dyadic annuli and the widened blocks
+that absorb them (each a difference of two dilated low-pass profiles), the
+space-time modulation distance and its scale range, angular cap covers of
+the sphere and lattice cube partitions (both weighted by one bump).  The
+modulation cutoff that filters a trajectory by its own time transform is a
+test reference in ``tests/oracles.py``.
 
 All operators are diagonal in frequency (or in (tau, xi) for the modulation
 cutoffs), hence linear, mutually commuting and L^2-contractive whenever their
@@ -29,9 +30,17 @@ def _expbump_step(y: np.ndarray) -> np.ndarray:
     out[y >= 1.0] = 1.0
     mid = (y > 0.0) & (y < 1.0)
     ym = y[mid]
-    a = np.exp(-1.0 / ym)
-    b = np.exp(-1.0 / (1.0 - ym))
+    a, b = np.exp(-1.0 / np.stack((ym, 1.0 - ym)))
     out[mid] = a / (a + b)
+    return out
+
+
+def _bump_1d(t: np.ndarray) -> np.ndarray:
+    """Bump exp(-1/(1 - t^2)) on |t| < 1, 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return out
 
 
@@ -50,21 +59,6 @@ def annulus_profile(s) -> np.ndarray:
     return lowpass_profile(s / 2.0) - lowpass_profile(s)
 
 
-def wide_annulus_profile(s, j: int) -> np.ndarray:
-    """Sum of the three dyadic bumps at scales j-2, j-1, j.
-
-    Telescopes to lowpass(2^{-j-1} s) - lowpass(2^{-j+2} s), hence equals 1
-    exactly on 2^{j-1} <= |s| <= 2^{j+1}; in particular the scale-(j+1) wide
-    profile is 1 on the support of the scale-j annulus bump, which is the
-    absorption identity the solution-space estimates rely on.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s, dtype=float)
-    for i in (j - 2, j - 1, j):
-        out += annulus_profile(np.ldexp(s, -i))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial (Littlewood-Paley) blocks
 
@@ -76,14 +70,18 @@ def radial_symbol(lattice: FrequencyLattice, j: int) -> np.ndarray:
 
 
 def wide_radial_symbol(lattice: FrequencyLattice, j: int) -> np.ndarray:
+    """lowpass(2^{-j-1} |xi|) - lowpass(2^{2-j} |xi|), the annulus bumps of
+    scales j-2..j telescoped: supported in 2^{j-2} < |xi| < 2^{j+2} and exactly
+    1 on 2^{j-1} <= |xi| <= 2^{j+1}, so it absorbs the scale-(j-1) block."""
     r = np.sqrt(lattice.xi_norm_sq)
-    return wide_annulus_profile(r, j)
+    return lowpass_profile(np.ldexp(r, -j - 1)) - lowpass_profile(np.ldexp(r, 2 - j))
 
 
 def radial_scale_range(lattice: FrequencyLattice) -> int:
-    """jmax = ceil(log2(sqrt(d) N)), N the lattice radius: the scales whose
-    annulus meets the nonzero lattice are -2 < j < jmax."""
-    return int(np.ceil(np.log2(np.sqrt(lattice.d) * lattice.radius)))
+    """jmax = max(ceil(log2(sqrt(d) N)), 1), N the lattice radius: the scales
+    whose annulus meets the nonzero lattice are -2 < j < jmax (the floor keeps
+    j = 0 at d = 1, N = 1)."""
+    return max(int(np.ceil(np.log2(np.sqrt(lattice.d) * lattice.radius))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +202,9 @@ class CapCover:
         dots = directions @ self.centers.T
         out = np.zeros_like(dots)
         # arccos(dot) < width only where dot > cos(width); the margin absorbs
-        # the rounding of arccos and cos, so the x < 1 test below decides.
+        # the rounding of arccos and cos, so the bump's |t| < 1 test decides.
         near = np.nonzero(dots > np.cos(self.width) - 1e-12)
-        x = np.arccos(np.clip(dots[near], -1.0, 1.0)) / self.width
-        inside = x < 1.0
-        out[tuple(a[inside] for a in near)] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+        out[near] = _bump_1d(np.arccos(np.clip(dots[near], -1.0, 1.0)) / self.width)
         return out
 
     def weights(self, directions: np.ndarray) -> np.ndarray:
@@ -308,14 +304,6 @@ def cap_symbols(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # lattice cube partitions
-
-
-def _bump_1d(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
 
 
 def normalized_bump_1d(t) -> np.ndarray:

@@ -6,11 +6,12 @@ quadrature on a uniform frame grid (Picard iteration).  The map reads the
 branches only through their sum, so the iterate is the solution psi on the
 frames; the solve returns the last image, and the stopping test's distance
 between it and the iterate it came from is the reported Duhamel residual.
-The branches Pi_pm psi are formed from the projectors once, after
-convergence, for the diagnostics.  Cross-checks: a fourth-order exponential
-Runge-Kutta stepper, also on psi, with the free propagators U(dt/2) and U(dt)
-built once; the second-order (Klein-Gordon type) evolution; and the pointwise
-equation residual along any trajectory.
+The branches Pi_pm psi are formed from Pi_+ once, after convergence, for
+the diagnostics.  Cross-checks: a fourth-order exponential Runge-Kutta
+stepper, also on psi, with the free propagators U(dt/2) and U(dt) built once;
+the second-order (Klein-Gordon type) evolution; and the pointwise equation
+residual along any trajectory.  Both first-order routes read Pi_- as
+1 - Pi_+, so U(t) = p Pi_+ + conj(p) (1 - Pi_+) with p = e^{-i t <xi>}.
 
 The mass is normalised to 1 in the split solver; the second-order route and
 the residual take a general mass m through the Dirac symbol H_m alone.
@@ -146,19 +147,13 @@ def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _phases(times: np.ndarray, lattice: FrequencyLattice) -> dict:
-    """e^{-i sign t_k <xi>} for both signs, shape (M,) + lattice.shape; each
-    sign's table is the complex conjugate of the other's."""
-    t = times.reshape((-1,) + (1,) * lattice.d)
-    return {s: np.exp(-1j * s * t * lattice.bracket) for s in (+1, -1)}
-
-
 def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
                          lattice: FrequencyLattice, proj_plus: np.ndarray,
                          phase: dict, dt: float, total: np.ndarray) -> dict:
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
-    ``total`` holds psi on the frames and ``proj_plus`` is Pi_+."""
+    ``total`` holds psi on the frames, ``proj_plus`` is Pi_+ and ``phase``
+    maps each sign to e^{-/+ i t_k <xi>}, shape (M,) + lattice.shape."""
     fhat = apply_constant(g.beta, evaluate_coefficients(F, total, lattice))
     plus = apply_matrices(proj_plus, fhat)
     fhat -= plus  # Pi_- = 1 - Pi_+
@@ -194,9 +189,9 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     returned frames by at most q times that distance (in units of the
     iterate's sup norm).  Aborts with diagnostics if the map stops
     contracting (ratio >= 1 for three consecutive iterations) or the
-    tolerance is not reached within the iteration budget.  The branches
-    Pi_pm psi are formed once, at the end, for the range-defect and
-    solution-norm diagnostics.
+    tolerance is not reached within the iteration budget.  Pi_+ and
+    p = e^{-i t_k <xi>} are built once, Pi_- x is x - Pi_+ x and its phase
+    conj(p); the branches are formed once, at the end, for the diagnostics.
     """
     lattice = cfg.lattice()
     g = build_gamma(cfg.d)
@@ -209,15 +204,16 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         )
     F = cfg.nonlinearity
     times = cfg.dt * np.arange(cfg.n_frames)
-    proj = {s: projector_symbol(g, lattice.xi, s) for s in (+1, -1)}
-    phase = _phases(times, lattice)
-    free = sum(phase[s][..., None] * apply_matrices(proj[s], psi0.coeffs)
-               for s in (+1, -1))
+    proj_plus = projector_symbol(g, lattice.xi, +1)
+    p = np.exp(-1j * times.reshape((-1,) + (1,) * lattice.d) * lattice.bracket)
+    phase = {+1: p, -1: np.conj(p)}
+    plus0 = apply_matrices(proj_plus, psi0.coeffs)
+    free = phase[+1][..., None] * plus0 + phase[-1][..., None] * (psi0.coeffs - plus0)
 
     def duhamel_map(psi: np.ndarray) -> np.ndarray:
         if F is None or F.is_zero():
             return free
-        corr = _duhamel_corrections(F, g, lattice, proj[+1], phase, cfg.dt, psi)
+        corr = _duhamel_corrections(F, g, lattice, proj_plus, phase, cfg.dt, psi)
         return free + corr[+1] + corr[-1]
 
     psi = free
@@ -250,12 +246,11 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     diagnostics["duhamel_residual"] = dist
     scale = max(float(frame_norms(psi).max()), 1e-300)
     # branch-range defects: each branch must stay in its projector's range
-    plus = apply_matrices(proj[+1], psi)
+    plus = apply_matrices(proj_plus, psi)
     branches = {+1: plus, -1: psi - plus}
     diagnostics["projector_range_defect"] = max(
-        float(frame_norms(apply_matrices(proj[-s], branches[s])).max()) / scale
-        for s in (+1, -1)
-    )
+        float(frame_norms(plus - apply_matrices(proj_plus, plus)).max()),
+        float(frame_norms(apply_matrices(proj_plus, branches[-1])).max())) / scale
     if cfg.monitor_solution_norm:
         sigma = cfg.d / 2.0
         for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
@@ -317,6 +312,16 @@ def evolve_dirac_rk4(
 # second-order (Klein-Gordon type) route
 
 
+def _dirac_rhs(coeffs: np.ndarray, F: PowerSeriesNonlinearity | None, g: GammaSet,
+               lattice: FrequencyLattice, mass: float) -> np.ndarray:
+    """H_m psi^ - beta F^(psi), the right-hand side of i d_t psi, for
+    coefficients with the spinor axis last and any leading axes."""
+    out = apply_matrices(g.dirac_symbol(lattice.xi, mass), coeffs)
+    if F is not None and not F.is_zero():
+        out -= apply_constant(g.beta, evaluate_coefficients(F, coeffs, lattice))
+    return out
+
+
 def second_order_data(
     psi0: SpinorField,
     F: PowerSeriesNonlinearity | None,
@@ -326,19 +331,18 @@ def second_order_data(
     """Time-derivative data consistent with the first-order equation:
     v = -i (H_m psi0 - beta F(psi0)), with H_m the Dirac symbol of mass m.
     """
-    lattice = psi0.lattice
-    h_psi = apply_matrices(g.dirac_symbol(lattice.xi, mass), psi0.coeffs)
-    if F is not None and not F.is_zero():
-        h_psi -= apply_constant(g.beta, evaluate_coefficients(F, psi0.coeffs, lattice))
-    return SecondOrderState(u=psi0.copy(), v=SpinorField(lattice, g.d0, -1j * h_psi))
+    v = -1j * _dirac_rhs(psi0.coeffs, F, g, psi0.lattice, mass)
+    return SecondOrderState(u=psi0.copy(), v=SpinorField(psi0.lattice, g.d0, v))
 
 
 def _second_order_rhs(
     u_hat: np.ndarray,
-    F: PowerSeriesNonlinearity | None,
+    F: PowerSeriesNonlinearity,
     g: GammaSet,
     lattice: FrequencyLattice,
     mass: float,
+    h: np.ndarray,
+    grid: int,
 ) -> np.ndarray:
     """Coefficients of the source G(psi, grad psi) of the second-order form,
 
@@ -352,11 +356,8 @@ def _second_order_rhs(
         G = 2 m F^ - beta (H_m F^ - P[J (H_m psi - beta F)]),
 
     with one transform each way and one Jacobian-vector product, J never formed.
+    ``h`` is H_m and ``grid`` the padded grid of F, built once per evolution.
     """
-    if F is None or F.is_zero():
-        return np.zeros_like(u_hat)
-    grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
-    h = g.dirac_symbol(lattice.xi, mass)
     psi, h_psi = to_grid(np.stack((u_hat, apply_matrices(h, u_hat))), lattice.d, grid)
     fval = evaluate(F, psi)
     kick = jacobian_product(F, psi, h_psi - apply_constant(g.beta, fval))
@@ -388,8 +389,8 @@ def evolve_klein_gordon(
     """Second-order evolution u_tt - Lap u + m^2 u = G(u, grad u).
 
     Symmetric splitting: exact half rotations of the linear flow around a
-    midpoint kick by the source; second order in dt, exact (and exactly
-    energy-preserving) when the source vanishes.
+    midpoint kick by the source (H_m and its padded grid built once); second
+    order in dt, exact (and exactly energy-preserving) when it vanishes.
     """
     n_frames = frame_count(dt, horizon)
     lattice = state.u.lattice
@@ -402,13 +403,18 @@ def evolve_klein_gordon(
     cos_h = np.cos(0.5 * dt * omega)
     sinc_h = np.sin(0.5 * dt * omega) / omega
     osin_h = -omega * np.sin(0.5 * dt * omega)
+    kicked = F is not None and not F.is_zero()
+    if kicked:
+        h = g.dirac_symbol(lattice.xi, mass)
+        grid = padded_grid_size(lattice, max(2 * F.max_degree - 1, 1))
 
     def half_rotate(uu, vv):
         return cos_h * uu + sinc_h * vv, osin_h * uu + cos_h * vv
 
     for k in range(1, n_frames):
         u, v = half_rotate(u, v)
-        v = v + dt * _second_order_rhs(u, F, g, lattice, mass)
+        if kicked:
+            v = v + dt * _second_order_rhs(u, F, g, lattice, mass, h, grid)
         u, v = half_rotate(u, v)
         frames[k] = u
     return Trajectory(lattice, state.u.d0, times, frames)
@@ -444,12 +450,8 @@ def dirac_residual(
     """
     if tr.n_frames < 3:
         raise ValueError("residual needs at least 3 frames")
-    lattice = tr.lattice
-    mid = tr.frames[1:-1]
     res = (0.5j / tr.dt) * (tr.frames[2:] - tr.frames[:-2])
-    res -= apply_matrices(g.dirac_symbol(lattice.xi, mass), mid)
-    if F is not None and not F.is_zero():
-        res += apply_constant(g.beta, evaluate_coefficients(F, mid, lattice))
+    res -= _dirac_rhs(tr.frames[1:-1], F, g, tr.lattice, mass)
     return tr.times[1:-1], frame_norms(res) ** 2
 
 

@@ -209,6 +209,14 @@ def test_audit_exit_codes(tmp_path):
     assert sorted(rep["audit"]["roots"], key=int) == [str(r) for r in range(1, 31)]
 
 
+def test_audit_at_radius_one_measures_scale_zero(tmp_path):
+    # at d = 1, N = 1 the Bernstein scan still covers j = 0, where every
+    # |xi^alpha| is 1, so the measured constant is 1
+    out = str(tmp_path / "a1")
+    assert main(["audit", "--d", "1", "--lattice-radius", "1", "--out", out]) == EXIT_OK
+    assert _read_report(out)["audit"]["constant"] == 1.0
+
+
 def test_audit_usage_errors(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
@@ -272,7 +280,6 @@ def test_usage_exit_on_bad_flag(tmp_path):
     assert main(["audit", "--constant", "-1"]) == EXIT_USAGE
     assert main(["audit", "--constant", "0"]) == EXIT_USAGE
     assert main(["audit", "--constant", "1e-300", "--d", "3"]) == EXIT_USAGE  # threshold overflows
-    assert main(["audit", "--lattice-radius", "1"]) == EXIT_USAGE  # no annulus to measure
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
     assert main(["verify", "--n-random", "-3"]) == EXIT_USAGE
     assert main(["verify", "--n-random", "0"]) == EXIT_USAGE

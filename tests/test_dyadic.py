@@ -16,8 +16,8 @@ from spintorus.dyadic import (
     lowpass_profile,
     modulation_distance,
     normalized_bump_1d,
+    radial_scale_range,
     radial_symbol,
-    wide_annulus_profile,
     wide_radial_symbol,
 )
 from spintorus.spectral import (
@@ -67,12 +67,6 @@ def test_telescoping_at_random_radii(rng):
     assert np.abs(total - 1.0).max() <= 1e-12
 
 
-def test_wide_profile_bounded():
-    s = np.linspace(0.01, 500, 20001)
-    for j in (0, 2, 5):
-        assert wide_annulus_profile(s, j).max() <= 1.0 + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # radial blocks
 
@@ -109,6 +103,21 @@ def test_wide_block_absorbs_block(rng):
             pj = _times(f, radial_symbol(lat, j))
             out = _times(pj, wide_radial_symbol(lat, j + 1))
             assert np.abs(out.coeffs - pj.coeffs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d, radius", [(1, 32), (2, 10), (3, 6)])
+def test_wide_symbol_is_the_telescoped_three_bump_sum(d, radius):
+    # exactly 1 on the support of the block it absorbs, within [0, 1], and
+    # the sum of the annulus bumps of scales j-2, j-1, j with its zero set
+    lat = FrequencyLattice(d, radius)
+    r = np.sqrt(lat.xi_norm_sq)
+    for j in range(-1, radial_scale_range(lat) + 1):
+        wide = wide_radial_symbol(lat, j + 1)
+        assert np.all(wide[radial_symbol(lat, j) > 0] == 1.0)
+        assert np.all((0.0 <= wide) & (wide <= 1.0))
+        bumps = sum(annulus_profile(np.ldexp(r, -i)) for i in (j - 1, j, j + 1))
+        assert np.abs(wide - bumps).max() <= 1e-15
+        assert np.array_equal(wide == 0.0, bumps == 0.0)
 
 
 def test_wide_block_far_frequencies_zero():

@@ -108,6 +108,20 @@ def test_besov_sobolev_equivalence(rng):
             assert 0.25 <= ratio <= 4.0
 
 
+def test_norms_at_radius_one_gain_only_a_zero_scale(rng):
+    # at d = 1, N = 1 the scale range is 1, not 0; the scale j = 1 it adds has
+    # an all-zero symbol on |xi| <= 1, so the Besov norm stays the low-pass
+    # (L^2) part and the solution norm still has no nonzero piece
+    lat = FrequencyLattice(1, 1)
+    assert radial_scale_range(lat) == 1
+    assert not np.any(radial_symbol(lat, 0)) and not np.any(radial_symbol(lat, 1))
+    f = random_field(lat, 2, rng)
+    for s in (0.0, 0.5, 3.0):
+        assert besov_norm(f, s) == pytest.approx(f.l2_norm(), rel=1e-14)
+    rep = solution_norm(_static_trajectory(f), 0.5, +1)
+    assert rep.value == 0.0 and rep.breakdown == {}
+
+
 def test_besov_single_annulus_weight():
     lat = FrequencyLattice(1, 16)
     s = 1.0

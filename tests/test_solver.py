@@ -6,7 +6,7 @@ from oracles import plane_wave
 from test_nonlinear import naive_jacobian
 
 from spintorus import solver
-from spintorus.clifford import build_gamma
+from spintorus.clifford import GammaSet, build_gamma
 from spintorus.nonlinear import (
     PowerSeriesNonlinearity,
     bundled_cubic,
@@ -20,7 +20,6 @@ from spintorus.solver import (
     PicardError,
     SolveConfig,
     _duhamel_corrections,
-    _phases,
     _second_order_rhs,
     dirac_residual,
     evolve_dirac_rk4,
@@ -98,11 +97,17 @@ def test_half_wave_basics(rng):
 # Duhamel quadrature
 
 
+def _phase(times, lattice):
+    """e^{-/+ i t <xi>} by sign, as picard_solve passes them to the quadrature."""
+    p = np.exp(-1j * times.reshape((-1,) + (1,) * lattice.d) * lattice.bracket)
+    return {+1: p, -1: np.conj(p)}
+
+
 def _constant_psi_corrections(F, psi_c, m, dt):
     """Both Duhamel corrections at the last of m frames, psi constant in time."""
     frames = np.repeat(psi_c.coeffs[None], m, axis=0)
     corr = _duhamel_corrections(F, G1, LAT16, projector_symbol(G1, LAT16.xi, +1),
-                                _phases(dt * np.arange(m), LAT16), dt, frames)
+                                _phase(dt * np.arange(m), LAT16), dt, frames)
     return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
 
 
@@ -192,12 +197,13 @@ def test_solve_applies_the_map_once_per_iteration(monkeypatch):
     # the map rebuilt here: the returned frames are its image of the last
     # iterate, at the reported residual from it, and move less than that
     # under one more application
-    proj = {s: projector_symbol(G1, LAT16.xi, s) for s in (+1, -1)}
-    phase = _phases(res.trajectory.times, LAT16)
-    free = sum(phase[s][..., None] * apply_matrices(proj[s], psi0.coeffs) for s in (+1, -1))
+    proj_plus = projector_symbol(G1, LAT16.xi, +1)
+    phase = _phase(res.trajectory.times, LAT16)
+    plus0 = apply_matrices(proj_plus, psi0.coeffs)
+    free = phase[+1][..., None] * plus0 + phase[-1][..., None] * (psi0.coeffs - plus0)
 
     def duhamel_map(psi):
-        corr = corrections(F, G1, LAT16, proj[+1], phase, cfg.dt, psi)
+        corr = corrections(F, G1, LAT16, proj_plus, phase, cfg.dt, psi)
         return free + corr[+1] + corr[-1]
 
     def sup(x):
@@ -212,6 +218,27 @@ def test_solve_applies_the_map_once_per_iteration(monkeypatch):
     assert sup(image - iterate) / sup(iterate) == pytest.approx(
         diag["duhamel_residual"], rel=1e-6)
     assert sup(duhamel_map(frames) - frames) / sup(frames) < diag["duhamel_residual"]
+
+
+def test_symbols_are_built_once_per_route(monkeypatch):
+    # picard_solve builds Pi_+ alone (Pi_- is 1 - Pi_+), and the second-order
+    # route builds H_m once per call, not once per step
+    signs, dirac_calls = [], []
+    projector = solver.projector_symbol
+    monkeypatch.setattr(solver, "projector_symbol",
+                        lambda g, xi, sign: signs.append(sign) or projector(g, xi, sign))
+    dirac_symbol = GammaSet.dirac_symbol
+    monkeypatch.setattr(GammaSet, "dirac_symbol", lambda self, *args: dirac_calls.append(1)
+                        or dirac_symbol(self, *args))
+    F = bundled_cubic(2)
+    psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=7)
+    picard_solve(SolveConfig(d=1, radius=16, dt=1.0 / 16.0, horizon=0.5, epsilon=1e-3,
+                             nonlinearity=F), psi0)
+    assert signs == [+1]
+    state = second_order_data(psi0, F, G1, 0.8)
+    dirac_calls.clear()
+    evolve_klein_gordon(state, F, G1, 0.8, 1.0 / 16.0, 0.5)
+    assert dirac_calls == [1]
 
 
 def test_solve_memory_stays_pinned(monkeypatch):
@@ -518,9 +545,10 @@ def test_second_order_rhs_matches_term_by_term_source(rng, d, family):
     lat = FrequencyLattice(d, 2)
     F = bundled_cubic(g.d0) if family == "cubic" else bundled_geometric(g.d0, 0.5, 4)
     u_hat = random_field(lat, g.d0, rng).coeffs / np.sqrt(lat.size)
+    grid = padded_grid_size(lat, 2 * F.max_degree - 1)
     for mass in (1.0, 0.7):
         ref = _second_order_rhs_by_terms(u_hat, F, g, lat, mass)
-        out = _second_order_rhs(u_hat, F, g, lat, mass)
+        out = _second_order_rhs(u_hat, F, g, lat, mass, g.dirac_symbol(lat.xi, mass), grid)
         assert np.abs(ref).max() > 1e-2
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -541,7 +569,9 @@ def test_second_order_rhs_transforms_and_applies_once(monkeypatch, rng, d):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     g = build_gamma(d)
     lat = FrequencyLattice(d, 2)
-    _second_order_rhs(random_field(lat, g.d0, rng).coeffs, bundled_cubic(g.d0), g, lat, 1.0)
+    F = bundled_cubic(g.d0)
+    h, grid = g.dirac_symbol(lat.xi, 1.0), padded_grid_size(lat, 2 * F.max_degree - 1)
+    _second_order_rhs(random_field(lat, g.d0, rng).coeffs, F, g, lat, 1.0, h, grid)
     assert calls == {"to_grid": 1, "from_grid": 1, "jacobian_product": 1, "apply_matrices": 2}
 
 

@@ -21,6 +21,9 @@ Live code is the package's modules, ``perfbench/`` and the acceptance suite.
   the defaulted public fields of a package dataclass, which a live call may
   also set through ``dataclasses.replace``, or live code by assigning the
   attribute (matched by name only).
+* Every private top-level function or class of ``src/spintorus`` is named
+  by package code outside its own definition (matched by name only), so a
+  helper that only tests call does not stay in the package.
 * No module-level import of ``src/spintorus`` goes unused.
 """
 
@@ -247,6 +250,22 @@ def _unset_parameters(package: pathlib.Path, external: list, kept=()) -> list:
     return sorted(unset)
 
 
+def _unnamed_private_helpers(package: pathlib.Path) -> list:
+    """Private top-level functions and classes that no package code names
+    outside their own definition, as "module.name"."""
+    parsed = _modules(package)
+    named = {}  # name -> ids of the package nodes that name it
+    for tree in parsed.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, set()).add(id(node))
+    return sorted(f"{mod}.{node.name}" for mod, tree in parsed.items() for node in tree.body
+                  if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+                  and not named.get(node.name, set()) - {id(n) for n in ast.walk(node)})
+
+
 def test_every_public_name_has_a_user_or_a_reason():
     defined = {f"{mod}.{name}" for mod, tree in _modules(PACKAGE).items()
                for name in _public_definitions(tree)}
@@ -264,6 +283,11 @@ def test_every_public_member_is_read_or_has_a_reason():
     assert not missing, f"members live code never reads and KEPT does not list: {missing}"
     stale = sorted(name for name in KEPT if name.count(".") == 2 and name not in unread)
     assert not stale, f"KEPT members that are gone or now read: {stale}"
+
+
+def test_every_private_helper_is_named_by_package_code():
+    unnamed = _unnamed_private_helpers(PACKAGE)
+    assert not unnamed, f"private helpers no package code outside them names: {unnamed}"
 
 
 def test_every_default_is_passed_by_a_live_call():
@@ -294,7 +318,15 @@ class Box:
 
 
 def scale(x, factor=2.0, shift=0.0):
-    return factor * x + shift
+    return factor * _half(2.0 * x) + shift
+
+
+def _half(x):
+    return x / 2.0
+
+
+def _tested_only(x):
+    return _tested_only(x - 1) if x else 0
 
 
 TOTAL = scale(Box().used()) + Box().resized(2)
@@ -311,6 +343,9 @@ def test_rules_report_a_synthetic_package(tmp_path):
     # a module's attribute of the same name is not a read of the member
     callers[1].write_text("import numpy as np\n\nnp.unread\n")
     assert _unread_members(package, callers) == ["box.Box.unread"]
+    # a private helper that only names itself is reported; one a package
+    # function calls is not
+    assert _unnamed_private_helpers(package) == ["box._tested_only"]
     # label and Box.resized's size are set by position; nothing sets strict
     # or Box.used's offset
     assert _unset_parameters(package, callers) == [
