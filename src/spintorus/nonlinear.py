@@ -62,10 +62,7 @@ class PowerSeriesNonlinearity:
         self._unwritten = [a for a in range(self.d0) if a not in written]
         self._top = max((e for factors, _ in self._support for _, e in factors),
                         default=0)
-
-    @property
-    def max_degree(self) -> int:
-        return max((sum(p) for p in self.terms), default=0)
+        self.max_degree = max((sum(p) for p in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -22,7 +22,6 @@ import numpy as np
 
 from .clifford import GammaSet
 from .dyadic import (
-    annulus_profile,
     covering_scale_range,
     lowpass_profile,
     modulation_distance,
@@ -124,8 +123,9 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     components), so ||Q_i B tr||^2_{L^2_t L^2_x} is the row dotted with b^2
     for every diagonal multiplier B of symbol b: one time DFT serves all.
     The annulus is open, 1 < |s| < 4, so a distance 2^e <= s < 2^{e+1}
-    meets only the scales e - 1 and e, and a zero distance meets none; each
-    value is evaluated at those two scales alone.
+    meets only the scales e - 1 and e, and a zero distance meets none.  With
+    s = 2^{-e} dist in [1, 2) the annulus is lowpass(s) at scale e - 1 and
+    1 - lowpass(s) at scale e, so one profile evaluation serves both.
     """
     if tr.n_frames < 2:
         raise ValueError("modulation norms need at least 2 frames")
@@ -135,20 +135,23 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     dist = modulation_distance(tr, sign).reshape(m, -1)
     jmin, jmax = covering_scale_range(dist)
     n = dist.shape[1]
+    e = np.frexp(dist)[1] - 1
+    spec[dist == 0.0] = 0.0  # it meets no scale, though lowpass(0) = 1
+    low = lowpass_profile(np.ldexp(dist, -e))
+    del dist
 
-    def scale_rows(i: np.ndarray) -> np.ndarray:
+    def scale_rows(i: np.ndarray, weight: np.ndarray) -> np.ndarray:
         # each value's term at its own scale i, summed per (scale, point); a
-        # zero distance (e = -1) is 0 at every scale, so clipping its key
-        # into range adds nothing.  One call's temporaries are freed before
-        # the next call makes its own.
-        weight = annulus_profile(np.ldexp(dist, -i)) ** 2 * spec
+        # zero distance weighs 0, so clipping its key into range adds nothing
         key = np.clip(i - jmin, 0, jmax - jmin) * n + np.arange(n)
         return np.bincount(key.ravel(), weights=weight.ravel(),
                            minlength=(jmax - jmin + 1) * n)
 
-    e = np.frexp(dist)[1] - 1
-    rows = scale_rows(e - 1)
-    rows += scale_rows(e)
+    rows = scale_rows(e - 1, low**2 * spec)
+    np.subtract(1.0, low, out=low)
+    low *= low
+    low *= spec
+    rows += scale_rows(e, low)
     return jmin, rows.reshape(-1, n)
 
 

@@ -138,13 +138,14 @@ def half_wave(f: SpinorField, t: float, sign: int) -> SpinorField:
 
 
 def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0 with uniform step; entry 0 is 0."""
-    out = np.zeros_like(w)
-    if w.shape[0] > 1:
-        np.add(w[1:], w[:-1], out=out[1:])
-        out[1:] *= 0.5 * dt
-        np.cumsum(out[1:], axis=0, out=out[1:])
-    return out
+    """Cumulative trapezoid along axis 0 with uniform step, written over ``w``
+    (pair sums backwards, frame by frame: no temporary); entry 0 is 0."""
+    for k in range(w.shape[0] - 1, 0, -1):
+        w[k] += w[k - 1]
+    w[0] = 0.0
+    w[1:] *= 0.5 * dt
+    np.cumsum(w[1:], axis=0, out=w[1:])
+    return w
 
 
 def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
@@ -153,16 +154,17 @@ def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
     """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
     signs at every frame time, with trapezoid quadrature on the frame grid;
     ``total`` holds psi on the frames, ``proj_plus`` is Pi_+ and ``phase``
-    maps each sign to e^{-/+ i t_k <xi>}, shape (M,) + lattice.shape."""
+    maps each sign to e^{-/+ i t_k <xi>}, shape (M,) + lattice.shape; the
+    results are the buffers of Pi_pm beta F^, transformed in place."""
     fhat = apply_constant(g.beta, evaluate_coefficients(F, total, lattice))
     plus = apply_matrices(proj_plus, fhat)
     fhat -= plus  # Pi_- = 1 - Pi_+
-    out = {}
-    for s, integrand in ((+1, plus), (-1, fhat)):
+    out = {+1: plus, -1: fhat}
+    for s, integrand in out.items():
         # conj(e^{-i s t <xi>}) = e^{+i s t <xi>}, the other sign's phase
         integrand *= phase[-s][..., None]
-        out[s] = _cumulative_trapezoid(integrand, dt)
-        out[s] *= 1j * phase[s][..., None]
+        _cumulative_trapezoid(integrand, dt)
+        integrand *= 1j * phase[s][..., None]
     return out
 
 
@@ -191,7 +193,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     contracting (ratio >= 1 for three consecutive iterations) or the
     tolerance is not reached within the iteration budget.  Pi_+ and
     p = e^{-i t_k <xi>} are built once, Pi_- x is x - Pi_+ x and its phase
-    conj(p); the branches are formed once, at the end, for the diagnostics.
+    conj(p); the branches are formed at the end, one at a time, for the diagnostics.
     """
     lattice = cfg.lattice()
     g = build_gamma(cfg.d)
@@ -214,7 +216,8 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         if F is None or F.is_zero():
             return free
         corr = _duhamel_corrections(F, g, lattice, proj_plus, phase, cfg.dt, psi)
-        return free + corr[+1] + corr[-1]
+        new = np.add(corr[+1], free, out=corr[+1])
+        return np.add(new, corr[-1], out=new)
 
     psi = free
     distances: list[float] = []
@@ -223,7 +226,9 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     converged = False
     for it in range(1, cfg.max_iterations + 1):
         new = duhamel_map(psi)
-        dist = float(frame_norms(new - psi).max() / max(frame_norms(psi).max(), 1e-300))
+        denom = max(frame_norms(psi).max(), 1e-300)  # psi then takes the difference
+        diff = frame_norms(np.subtract(psi, new, out=None if psi is free else psi))
+        dist = float(diff.max() / denom)
         distances.append(dist)
         diagnostics["iterations"] = it
         if not math.isfinite(dist):
@@ -245,17 +250,23 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     del free
     diagnostics["duhamel_residual"] = dist
     scale = max(float(frame_norms(psi).max()), 1e-300)
-    # branch-range defects: each branch must stay in its projector's range
-    plus = apply_matrices(proj_plus, psi)
-    branches = {+1: plus, -1: psi - plus}
-    diagnostics["projector_range_defect"] = max(
-        float(frame_norms(plus - apply_matrices(proj_plus, plus)).max()),
-        float(frame_norms(apply_matrices(proj_plus, branches[-1])).max())) / scale
+    # one branch buffer beside psi: Pi_+ psi, then Pi_- psi = psi - Pi_+ psi
+    # over it; each branch's range defect is its part off its projector's range
+    branch = apply_matrices(proj_plus, psi)
+    defects = []
+    for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
+        if s == -1:
+            np.subtract(psi, branch, out=branch)
+        off = apply_matrices(proj_plus, branch)
+        if s == +1:
+            np.subtract(branch, off, out=off)
+        defects.append(float(frame_norms(off).max()))
+        del off
+        diagnostics["projector_range_defect"] = max(defects) / scale
+        if cfg.monitor_solution_norm:
+            diagnostics[key] = solution_norm(
+                Trajectory(lattice, g.d0, times, branch), cfg.d / 2.0, s).value
     if cfg.monitor_solution_norm:
-        sigma = cfg.d / 2.0
-        for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
-            branch = Trajectory(lattice, g.d0, times, branches[s])
-            diagnostics[key] = solution_norm(branch, sigma, s).value
         diagnostics["ball_radius"] = cfg.epsilon
     return PicardResult(Trajectory(lattice, g.d0, times, psi), diagnostics)
 
@@ -450,7 +461,8 @@ def dirac_residual(
     """
     if tr.n_frames < 3:
         raise ValueError("residual needs at least 3 frames")
-    res = (0.5j / tr.dt) * (tr.frames[2:] - tr.frames[:-2])
+    res = np.subtract(tr.frames[2:], tr.frames[:-2])
+    res *= 0.5j / tr.dt
     res -= _dirac_rhs(tr.frames[1:-1], F, g, tr.lattice, mass)
     return tr.times[1:-1], frame_norms(res) ** 2
 

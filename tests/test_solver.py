@@ -5,6 +5,7 @@ import pytest
 from oracles import plane_wave
 from test_nonlinear import naive_jacobian
 
+from spintorus import nonlinear as nl
 from spintorus import solver
 from spintorus.clifford import GammaSet, build_gamma
 from spintorus.nonlinear import (
@@ -19,6 +20,7 @@ from spintorus.norms import solution_norm
 from spintorus.solver import (
     PicardError,
     SolveConfig,
+    _cumulative_trapezoid,
     _duhamel_corrections,
     _second_order_rhs,
     dirac_residual,
@@ -109,6 +111,17 @@ def _constant_psi_corrections(F, psi_c, m, dt):
     corr = _duhamel_corrections(F, G1, LAT16, projector_symbol(G1, LAT16.xi, +1),
                                 _phase(dt * np.arange(m), LAT16), dt, frames)
     return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 33])
+def test_cumulative_trapezoid_in_place_matches_out_of_place(rng, m):
+    w = rng.standard_normal((m, 5, 2)) + 1j * rng.standard_normal((m, 5, 2))
+    dt = 0.03
+    expected = np.zeros_like(w)
+    expected[1:] = np.cumsum((w[1:] + w[:-1]) * (0.5 * dt), axis=0)
+    out = _cumulative_trapezoid(w, dt)
+    assert out is w
+    assert np.array_equal(out, expected)
 
 
 def test_duhamel_zero_nonlinearity(rng):
@@ -244,9 +257,9 @@ def test_symbols_are_built_once_per_route(monkeypatch):
 def test_solve_memory_stays_pinned(monkeypatch):
     # tracemalloc counts every numpy buffer.  Over the trajectory's bytes the
     # solve peaks inside the Duhamel map at 20.9, and it enters the
-    # solution-norm diagnostics holding 4.3 (psi, its branches, the phase
-    # tables and the projectors): an iterate or the free flow kept alive
-    # past the loop adds 1 there, which only the second bound sees.
+    # solution-norm diagnostics holding 3.2 (psi, one branch buffer, the
+    # phase tables and the projectors): an iterate, the free flow or a second
+    # branch kept alive there adds 1, which only the second bound sees.
     lat = FrequencyLattice(2, 6)
     psi0 = gaussian_data(lat, 2, 1e-3, 1.0, seed=3)
     cfg = SolveConfig(d=2, radius=6, dt=1.0 / 16.0, horizon=1.0, epsilon=1e-3,
@@ -265,7 +278,29 @@ def test_solve_memory_stays_pinned(monkeypatch):
     size = res.trajectory.frames.nbytes
     assert len(held) == 2
     assert peak / size <= 22.0
-    assert max(held) / size <= 4.5
+    assert max(held) / size <= 3.5
+
+
+def test_duhamel_map_memory_stays_pinned(monkeypatch):
+    # With one frame per padded-grid chunk the frames dominate, so the peak
+    # counts the map's work trajectories: 4.99 trajectories here with the
+    # corrections formed in place, 6.99 with the out-of-place quadrature,
+    # sum and stopping difference.
+    monkeypatch.setattr(nl, "CHUNK_BYTES", 1)
+    g = build_gamma(3)
+    lat = FrequencyLattice(3, 4)
+    psi0 = gaussian_data(lat, g.d0, 1e-3, 1.5, seed=3)
+    cfg = SolveConfig(d=3, radius=4, dt=1.0 / 32.0, horizon=1.0, epsilon=1e-3,
+                      nonlinearity=bundled_cubic(g.d0))
+    picard_solve(cfg, psi0)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        res = picard_solve(cfg, psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trajectory.n_frames == 33
+    assert peak / res.trajectory.frames.nbytes <= 5.25
 
 
 def test_klein_gordon_memory_stays_pinned():
