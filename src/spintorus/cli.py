@@ -31,7 +31,7 @@ from .clifford import anticommutator_defect, build_gamma
 from .dyadic import (
     annulus_profile,
     build_cap_cover,
-    cap_symbols,
+    cap_partition_sum,
     cube_partition_sum,
     radial_scale_range,
     radial_symbol,
@@ -249,9 +249,7 @@ def _verify_checks(cfg: RunConfig, gammas: dict, rng):
             if d <= 3:  # smooth covers for d in {2, 3}, the two half-lines for d = 1
                 err = 0.0
                 for l in (0,) if d == 1 else (0, 1, 2):
-                    cover = build_cap_cover(d, l)
-                    table = cap_symbols(cover, lattice)
-                    tot = table.sum(axis=0)
+                    tot = cap_partition_sum(build_cap_cover(d, l), lattice)
                     mask = lattice.xi_norm_sq > 0
                     err = max(err, float(np.abs(tot[mask] - 1.0).max()))
                     err = max(err, float(np.abs(tot[~mask]).max()))

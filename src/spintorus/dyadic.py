@@ -8,6 +8,16 @@ test reference in ``tests/oracles.py``.
 All operators are diagonal in frequency (or in (tau, xi) for the modulation
 cutoffs), hence linear, mutually commuting and L^2-contractive whenever their
 symbols are bounded by one.
+
+A cap cover is evaluated as sparse (direction, cap, value) triples: each
+direction meets at most ``CAP_OVERLAP_BOUND`` caps, so a dense (directions,
+caps) table would be almost all zeros.  The dot products are formed in blocks
+of ``CAP_BLOCK_ENTRIES`` entries, small enough that OpenBLAS runs each block on
+the calling thread, and the triples take O(directions) memory: building and
+checking the d = 3, scale-2 cover (8192 sample directions, 642 caps) peaks at
+about 2 MiB, where the dense table took 86 MiB.  ``cap_symbols`` still returns
+the (K,) + lattice table; ``cap_partition_sum`` sums the weights per lattice
+point without it.
 """
 
 from __future__ import annotations
@@ -129,6 +139,13 @@ def covering_scale_range(w: np.ndarray) -> tuple[int, int]:
 # that build_cap_cover returns is checked against it.
 CAP_OVERLAP_BOUND = 4
 
+# Entries of one (directions, caps) block of dot products in CapCover.bumps
+# (512 KiB of float64; a block has at least 3 rows).  With the d <= 3 inner
+# dimension the block's product stays below OpenBLAS's threading threshold
+# (m n k < 2^18), so it runs on the calling thread: 8192 directions against
+# 642 caps in 512-row blocks waited for busy BLAS workers in some processes.
+CAP_BLOCK_ENTRIES = 2**16
+
 
 def _icosahedron() -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -194,26 +211,31 @@ class CapCover:
     def n_caps(self) -> int:
         return self.centers.shape[0]
 
-    def raw_weights(self, directions: np.ndarray) -> np.ndarray:
-        """Unnormalised bump values, shape (n_dirs, K)."""
-        if self.d == 1:
-            signs = np.sign(directions[:, 0])[:, None]
-            return (signs == self.centers[None, :, 0]).astype(float)
-        dots = directions @ self.centers.T
-        out = np.zeros_like(dots)
-        # arccos(dot) < width only where dot > cos(width); the margin absorbs
-        # the rounding of arccos and cos, so the bump's |t| < 1 test decides.
-        near = np.nonzero(dots > np.cos(self.width) - 1e-12)
-        out[near] = _bump_1d(np.arccos(np.clip(dots[near], -1.0, 1.0)) / self.width)
-        return out
+    def bumps(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero unnormalised bump values as (direction, cap, value) triples.
 
-    def weights(self, directions: np.ndarray) -> np.ndarray:
-        """Partition-of-unity weights at unit directions, shape (n_dirs, K)."""
-        raw = self.raw_weights(directions)
-        total = raw.sum(axis=1)
-        if np.any(total <= 0.0):
-            raise ValueError("cap cover does not cover some direction")
-        return raw / total[:, None]
+        Directions go through ``block @ centers.T`` in blocks of at most
+        ``max(3, CAP_BLOCK_ENTRIES // K)`` rows, so no (n_dirs, K) table is
+        formed.  The blocks are split evenly, so none is a single row: numpy
+        hands a one-row product to gemv, whose rounding differs from gemm's.
+        The two half-lines of d = 1 are caps of width 1 around +-1: each
+        direction meets only its own, with the value exp(-1).
+        """
+        n = directions.shape[0]
+        count = -(-n // max(3, CAP_BLOCK_ENTRIES // self.n_caps))
+        cut = np.cos(self.width) - 1e-12
+        out = []
+        for b in range(count):
+            lo, hi = b * n // count, (b + 1) * n // count
+            dots = directions[lo:hi] @ self.centers.T
+            # arccos(dot) < width only where dot > cos(width); the margin
+            # absorbs the rounding of arccos and cos, so the bump's |t| < 1
+            # test decides.
+            i, k = np.nonzero(dots > cut)
+            value = _bump_1d(np.arccos(np.clip(dots[i, k], -1.0, 1.0)) / self.width)
+            keep = value > 0.0
+            out.append((i[keep] + lo, k[keep], value[keep]))
+        return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def _fibonacci_directions(n: int) -> np.ndarray:
@@ -272,17 +294,32 @@ def _circle_directions(n: int) -> np.ndarray:
 
 
 def _validate_cover(cover: CapCover, sample: np.ndarray) -> None:
-    raw = cover.raw_weights(sample)
-    total = raw.sum(axis=1)
-    if np.any(total <= 0.0):
+    counts = np.bincount(cover.bumps(sample)[0], minlength=sample.shape[0])
+    if counts.min() == 0:
         raise ValueError(
             f"cap cover (d={cover.d}, scale={cover.scale}) leaves coverage holes"
         )
-    overlap = int((raw > 0.0).sum(axis=1).max())
+    overlap = int(counts.max())
     if overlap > CAP_OVERLAP_BOUND:
         raise ValueError(
             f"cap cover overlap {overlap} exceeds the bound {CAP_OVERLAP_BOUND}"
         )
+
+
+def _lattice_weights(cover: CapCover, lattice: FrequencyLattice):
+    """Partition-of-unity weights at the nonzero lattice points as (flat
+    point index, cap, weight) triples: each bump divided by its direction's
+    bump total."""
+    if cover.d != lattice.d:
+        raise ValueError("cover and lattice dimensions differ")
+    xi = lattice.xi.reshape(-1, lattice.d)
+    r = np.linalg.norm(xi, axis=1)
+    points = np.flatnonzero(r > 0)
+    rows, caps, values = cover.bumps(xi[points] / r[points, None])
+    total = np.bincount(rows, weights=values, minlength=points.size)
+    if np.any(total <= 0.0):
+        raise ValueError("cap cover does not cover some direction")
+    return points[rows], caps, values / total[rows]
 
 
 def cap_symbols(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
@@ -291,15 +328,19 @@ def cap_symbols(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
     The zero frequency gets weight 0 for every cap (the weights partition
     R^d minus the origin only).
     """
-    if cover.d != lattice.d:
-        raise ValueError("cover and lattice dimensions differ")
-    xi = lattice.xi.reshape(-1, lattice.d)
-    r = np.linalg.norm(xi, axis=1)
-    nonzero = r > 0
-    table = np.zeros((xi.shape[0], cover.n_caps))
-    dirs = xi[nonzero] / r[nonzero, None]
-    table[nonzero] = cover.weights(dirs)
-    return np.moveaxis(table.reshape(lattice.shape + (cover.n_caps,)), -1, 0)
+    points, caps, weights = _lattice_weights(cover, lattice)
+    table = np.zeros((cover.n_caps, lattice.size))
+    table[caps, points] = weights
+    return table.reshape((cover.n_caps,) + lattice.shape)
+
+
+def cap_partition_sum(cover: CapCover, lattice: FrequencyLattice) -> np.ndarray:
+    """Sum of the cap weights at each lattice point, shape lattice.shape:
+    cap_symbols(cover, lattice).sum(axis=0) up to rounding, without the
+    (K,) + lattice.shape table.  A partition of unity makes it 1 off the
+    origin and 0 at it."""
+    points, _, weights = _lattice_weights(cover, lattice)
+    return np.bincount(points, weights=weights, minlength=lattice.size).reshape(lattice.shape)
 
 
 # ---------------------------------------------------------------------------

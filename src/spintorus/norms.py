@@ -161,21 +161,26 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
 
 def solution_norm(tr: Trajectory, sigma: float, sign: int) -> NormReport:
     """sum_{j>=0} 2^{sigma j} of the (j+1)-block norm of the annulus pieces
-    P_j tr; scales whose piece is exactly zero are skipped.
+    P_j tr; scales whose piece is exactly zero (the symbol vanishes at every
+    point where some frame is nonzero) are skipped.
 
     P_j and the modulation cutoffs are diagonal, so every block is a lattice
     sum of the trajectory's two densities weighted by radial_symbol(j)^2.
     """
     lat = tr.lattice
     jmax = radial_scale_range(lat)
-    amp = np.abs(tr.frames).max(axis=(0, -1))
-    symbols = {j: radial_symbol(lat, j) for j in range(0, jmax + 1)}
-    scales = [j for j, sym in symbols.items() if np.any(amp * sym > 0.0)]
+    density = _spinor_density(tr.frames)
+    live = density.max(axis=0) > 0.0
+    if not live.all():  # a |psi|^2 that underflows still marks a nonzero piece
+        live = np.any(tr.frames != 0.0, axis=(0, -1)).ravel()
+    symbols = {j: radial_symbol(lat, j).ravel() for j in range(0, jmax + 1)}
+    scales = [j for j, sym in symbols.items() if np.any(sym[live] > 0.0)]
     breakdown = {}
     if scales:
-        weights = np.array([symbols[j].ravel() ** 2 for j in scales]).T
+        weights = np.array([symbols[j] ** 2 for j in scales]).T
         # sup_t ||P_j tr||_{L^2} and sup_i 2^{i/2} ||Q_i P_j tr||_{L^2_t L^2_x}
-        energy = np.sqrt((_spinor_density(tr.frames) @ weights).max(axis=0))
+        energy = np.sqrt((density @ weights).max(axis=0))
+        del density
         jmin, rows = _modulation_densities(tr, sign)
         gain = 2.0 ** (0.5 * (jmin + np.arange(len(rows))))
         modu = (gain[:, None] * np.sqrt(rows @ weights)).max(axis=0)

@@ -3,13 +3,14 @@
 Each one computes its quantity straight from the definition, in the form
 the package's batched or collapsed code replaced: a single-mode field, a
 derivative as a lattice multiplier, a modulation cutoff by its own time
-transform, the modulation seminorm and a scale block, and F(u1) - F(u2)
-by the integral-remainder expansion.  No command or benchmark calls them.
+transform, the modulation seminorm and a scale block, dense cap weight
+tables, and F(u1) - F(u2) by the integral-remainder expansion.  No command
+or benchmark calls them.
 """
 
 import numpy as np
 
-from spintorus.dyadic import annulus_profile, modulation_distance
+from spintorus.dyadic import CapCover, annulus_profile, modulation_distance
 from spintorus.nonlinear import PowerSeriesNonlinearity, decrement_index, multinomial_split
 from spintorus.norms import NormReport, _modulation_densities, frame_norms
 from spintorus.spectral import FrequencyLattice, SpinorField, Trajectory
@@ -78,6 +79,24 @@ def block_norm(tr: Trajectory, j: int, sign: int) -> NormReport:
         value=energy + modu,
         breakdown={"energy": energy, "modulation": modu},
     )
+
+
+def cap_raw_weights(cover: CapCover, directions: np.ndarray) -> np.ndarray:
+    """Unnormalised cap bumps as a dense (n_dirs, K) table, scattered from
+    the package's (direction, cap, value) triples."""
+    rows, caps, values = cover.bumps(directions)
+    out = np.zeros((directions.shape[0], cover.n_caps))
+    out[rows, caps] = values
+    return out
+
+
+def cap_weights(cover: CapCover, directions: np.ndarray) -> np.ndarray:
+    """Partition-of-unity cap weights at unit directions, shape (n_dirs, K)."""
+    raw = cap_raw_weights(cover, directions)
+    total = raw.sum(axis=1)
+    if np.any(total <= 0.0):
+        raise ValueError("cap cover does not cover some direction")
+    return raw / total[:, None]
 
 
 def difference_expansion(F: PowerSeriesNonlinearity, u1, u2) -> np.ndarray:

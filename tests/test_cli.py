@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -31,6 +32,19 @@ def test_verify_default_passes(tmp_path):
     names = {c["name"] for c in rep["checks"]}
     assert {"clifford_defect_d1", "projector_identities_d2", "cap_partition_d3"} <= names
     assert rep["config"]["seed"] == 5  # resolved config is embedded
+
+
+def test_verify_d3_memory_is_bounded(tmp_path):
+    # dense (directions x caps) tables would take about 89 MiB here, and a
+    # 10.8 MiB cap table kept alive across the later checks would break it too
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--dims", "3", "--out", str(tmp_path / "v"), "--seed", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 12 * 2**20
 
 
 def test_verify_fault_injection_fails_named_check(tmp_path, monkeypatch):

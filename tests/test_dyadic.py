@@ -1,14 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import derivative_monomial, modulation_block, plane_wave
+from oracles import (
+    cap_raw_weights,
+    cap_weights,
+    derivative_monomial,
+    modulation_block,
+    plane_wave,
+)
 
 from spintorus.dyadic import (
+    CAP_BLOCK_ENTRIES,
     CAP_OVERLAP_BOUND,
     _circle_directions,
     _fibonacci_directions,
     annulus_profile,
     build_cap_cover,
     build_cube_cover,
+    cap_partition_sum,
     cap_symbols,
     covering_scale_range,
     cube_partition_sum,
@@ -256,7 +266,7 @@ def test_d2_scale3_count_and_partition(rng):
     assert 2**3 <= cover.n_caps <= int(2 * np.pi * 2**3) + 2
     dirs = rng.standard_normal((256, 2))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    w = cover.weights(dirs)
+    w = cap_weights(cover, dirs)
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -272,21 +282,61 @@ def test_cover_overlap_bound(rng):
         cover = build_cap_cover(d, l)
         dirs = rng.standard_normal((2000, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        counts = (cover.raw_weights(dirs) > 0).sum(axis=1)
+        counts = (cap_raw_weights(cover, dirs) > 0).sum(axis=1)
         assert counts.max() <= CAP_OVERLAP_BOUND
 
 
 @pytest.mark.parametrize("d,sample", [(2, _circle_directions(4096)),
                                       (3, _fibonacci_directions(8192))])
 def test_raw_weights_match_full_arccos_formula(d, sample):
-    # the weights evaluate arccos only near each cap; the values must not move
+    # the weights evaluate arccos only near each cap and block by block; the
+    # values must not move, also on a sample whose length is not a multiple
+    # of the block
     for l in (0, 1, 2):
         cover = build_cap_cover(d, l)
-        x = np.arccos(np.clip(sample @ cover.centers.T, -1.0, 1.0)) / cover.width
-        expected = np.zeros_like(x)
-        inside = x < 1.0
-        expected[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-        assert np.array_equal(cover.raw_weights(sample), expected)
+        rows = CAP_BLOCK_ENTRIES // cover.n_caps
+        partial = sample[np.arange(2 * rows + 1) % len(sample)]
+        for dirs in (sample, partial):
+            x = np.arccos(np.clip(dirs @ cover.centers.T, -1.0, 1.0)) / cover.width
+            expected = np.zeros_like(x)
+            inside = x < 1.0
+            expected[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+            assert np.array_equal(cap_raw_weights(cover, dirs), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cap_partition_sum_matches_symbol_sum(d):
+    lat = FrequencyLattice(d, 6)
+    for l in (0, 1, 2):
+        cover = build_cap_cover(d, l)
+        tot = cap_partition_sum(cover, lat)
+        assert np.abs(tot - cap_symbols(cover, lat).sum(axis=0)).max() <= 1e-15
+        assert tot[(6,) * d] == 0.0
+
+
+def test_cap_cover_memory_is_bounded():
+    # a dense (8192 directions x 642 caps) validation table would take 86 MiB
+    tracemalloc.start()
+    try:
+        build_cap_cover(3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_cap_symbols_memory_is_bounded():
+    # everything above the (K,) + lattice table itself; dense (points x K)
+    # intermediates would take 23 MiB on this lattice
+    cover = build_cap_cover(3, 2)
+    lat = FrequencyLattice(3, 6)
+    tracemalloc.start()
+    try:
+        table = cap_symbols(cover, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes <= 2 * 2**20
 
 
 def test_caps_error_above_three_dimensions():
