@@ -1,20 +1,20 @@
 """Cauchy solver for the massive Dirac equation on the torus.
 
-The first-order system is split into half-wave branches by the frequency
-projectors and solved as a fixed point of the Duhamel map with trapezoid
-quadrature on a uniform frame grid (Picard iteration).  The map reads the
-branches only through their sum, so the iterate is the solution psi on the
-frames; the solve returns the last image, and the stopping test's distance
-between it and the iterate it came from is the reported Duhamel residual.
-The branches Pi_pm psi are formed from Pi_+ once, after convergence, for
-the diagnostics.  Cross-checks: a fourth-order exponential Runge-Kutta
-stepper, also on psi, with the free propagators U(dt/2) and U(dt) built once;
-the second-order (Klein-Gordon type) evolution; and the pointwise equation
-residual along any trajectory.  Both first-order routes read Pi_- as
-1 - Pi_+, so U(t) = p Pi_+ + conj(p) (1 - Pi_+) with p = e^{-i t <xi>}.
-
-The mass is normalised to 1 in the split solver; the second-order route and
-the residual take a general mass m through the Dirac symbol H_m alone.
+The first-order system is solved as a fixed point of the Duhamel formula
+psi(t) = U(t)[psi0 + i int_0^t U(-s) beta F(psi(s)) ds] (Picard iteration),
+the integral taken in the interaction picture w = U(-t) psi by one
+cumulative trapezoid on a uniform frame grid.  The free propagator is
+applied in closed form, U(t) = cos(t lam) - i sin(t lam) S with
+S = H_m / lam and lam = <xi>_m; the pointwise equation residual differences
+w through the same propagator.  The iterate is psi on the frames; the solve
+returns the last image, and the stopping test's distance between it and
+the iterate it came from is the reported Duhamel residual.  Cross-checks: a
+fourth-order exponential Runge-Kutta stepper on psi and the reference flows
+``split`` / ``half_wave``, which keep the projector form
+U(t) = p Pi_+ + conj(p) (1 - Pi_+), p = e^{-i t <xi>}, so that they check
+the closed form rather than share it; and the second-order (Klein-Gordon
+type) evolution.  The mass is normalised to 1 in the Picard and RK4
+solvers; the second-order route and the residual take a general mass m.
 """
 
 from __future__ import annotations
@@ -134,7 +134,31 @@ def half_wave(f: SpinorField, t: float, sign: int) -> SpinorField:
 
 
 # ---------------------------------------------------------------------------
-# Duhamel quadrature and the fixed-point map
+# the free propagator, Duhamel quadrature and the fixed-point map
+
+
+def _propagator_tables(g: GammaSet, lattice: FrequencyLattice, times: np.ndarray,
+                       mass: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-i S, cos(t lam), sin(t lam)) of U(t) = cos(t lam) - i sin(t lam) S,
+    S = H_m / lam, lam = (m^2 + |xi|^2)^{1/2}, at the M ``times``: shapes
+    lattice.shape + (d0, d0) and (M,) + lattice.shape.  S is H_m times
+    1/lam, as in ``projector_symbol``, so (I + S)/2 is Pi_+ to the bit."""
+    lam = np.sqrt(mass * mass + lattice.xi_norm_sq)
+    isym = g.dirac_symbol(lattice.xi, mass)
+    isym *= (1.0 / lam)[..., None, None]
+    isym *= -1j
+    t_lam = times.reshape((-1,) + (1,) * lattice.d) * lam
+    return isym, np.cos(t_lam), np.sin(t_lam)
+
+
+def _free_propagate(x: np.ndarray, isym: np.ndarray, cos_t: np.ndarray,
+                    sin_t: np.ndarray, sign: int) -> np.ndarray:
+    """U(sign t) x = cos(t lam) x + sign sin(t lam) (-i S) x, frame by frame
+    at the tables' times, written over ``x`` (one trajectory-sized temporary)."""
+    turn = apply_matrices(isym, x)
+    turn *= sin_t[..., None]
+    x *= cos_t[..., None]
+    return (np.add if sign > 0 else np.subtract)(x, turn, out=x)
 
 
 def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
@@ -148,24 +172,17 @@ def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
     return w
 
 
-def _duhamel_corrections(F: PowerSeriesNonlinearity, g: GammaSet,
-                         lattice: FrequencyLattice, proj_plus: np.ndarray,
-                         phase: dict, dt: float, total: np.ndarray) -> dict:
-    """i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds for both
-    signs at every frame time, with trapezoid quadrature on the frame grid;
-    ``total`` holds psi on the frames, ``proj_plus`` is Pi_+ and ``phase``
-    maps each sign to e^{-/+ i t_k <xi>}, shape (M,) + lattice.shape; the
-    results are the buffers of Pi_pm beta F^, transformed in place."""
-    fhat = apply_constant(g.beta, evaluate_coefficients(F, total, lattice))
-    plus = apply_matrices(proj_plus, fhat)
-    fhat -= plus  # Pi_- = 1 - Pi_+
-    out = {+1: plus, -1: fhat}
-    for s, integrand in out.items():
-        # conj(e^{-i s t <xi>}) = e^{+i s t <xi>}, the other sign's phase
-        integrand *= phase[-s][..., None]
-        _cumulative_trapezoid(integrand, dt)
-        integrand *= 1j * phase[s][..., None]
-    return out
+def _duhamel_map(F: PowerSeriesNonlinearity, g: GammaSet, lattice: FrequencyLattice,
+                 tables: tuple, dt: float, psi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds] at every frame, as
+    a new array, with the trapezoid on the interaction-picture integrand;
+    ``psi`` is the iterate, ``psi0`` the data's coefficients and ``tables``
+    those of ``_propagator_tables`` at the frame times."""
+    w = apply_constant(1j * g.beta, evaluate_coefficients(F, psi, lattice))
+    _free_propagate(w, *tables, -1)
+    _cumulative_trapezoid(w, dt)
+    w += psi0
+    return _free_propagate(w, *tables, +1)
 
 
 @dataclass
@@ -175,15 +192,12 @@ class PicardResult:
 
 
 def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
-    """Solve the split system by Picard iteration of the Duhamel map.
+    """Solve the Dirac system by Picard iteration of the Duhamel map.
 
     The iterate is psi on the frames.  Each step maps it to
-
-        psi_new(t_k) = sum_pm [ e^{-/+ i t_k <D>} Pi_pm psi0
-                       + i int_0^{t_k} e^{-/+ i (t_k - s) <D>} Pi_pm[beta F(psi(s))] ds ]
-
+    psi_new(t_k) = U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds],
     with trapezoid quadrature on the frame grid, starting from the free
-    evolution of the data, until the sup-in-time relative L^2 distance
+    evolution U(t_k) psi0, until the sup-in-time relative L^2 distance
     between an iterate and its image drops below the tolerance.  The
     returned trajectory is that image and ``duhamel_residual`` is that
     distance, so a solve applies the map ``iterations`` times.  Where the
@@ -191,9 +205,9 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     returned frames by at most q times that distance (in units of the
     iterate's sup norm).  Aborts with diagnostics if the map stops
     contracting (ratio >= 1 for three consecutive iterations) or the
-    tolerance is not reached within the iteration budget.  Pi_+ and
-    p = e^{-i t_k <xi>} are built once, Pi_- x is x - Pi_+ x and its phase
-    conj(p); the branches are formed at the end, one at a time, for the diagnostics.
+    tolerance is not reached within the iteration budget.  After
+    convergence Pi_+ = (I + S)/2 forms the branches Pi_+ psi and
+    Pi_- psi = psi - Pi_+ psi, one at a time, for the diagnostics.
     """
     lattice = cfg.lattice()
     g = build_gamma(cfg.d)
@@ -204,30 +218,18 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         raise ValueError(
             f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}"
         )
-    F = cfg.nonlinearity
+    F = cfg.nonlinearity if cfg.nonlinearity is not None else PowerSeriesNonlinearity(g.d0, {})
     times = cfg.dt * np.arange(cfg.n_frames)
-    proj_plus = projector_symbol(g, lattice.xi, +1)
-    p = np.exp(-1j * times.reshape((-1,) + (1,) * lattice.d) * lattice.bracket)
-    phase = {+1: p, -1: np.conj(p)}
-    plus0 = apply_matrices(proj_plus, psi0.coeffs)
-    free = phase[+1][..., None] * plus0 + phase[-1][..., None] * (psi0.coeffs - plus0)
-
-    def duhamel_map(psi: np.ndarray) -> np.ndarray:
-        if F is None or F.is_zero():
-            return free
-        corr = _duhamel_corrections(F, g, lattice, proj_plus, phase, cfg.dt, psi)
-        new = np.add(corr[+1], free, out=corr[+1])
-        return np.add(new, corr[-1], out=new)
-
-    psi = free
+    tables = _propagator_tables(g, lattice, times, 1.0)
+    psi = _free_propagate(np.repeat(psi0.coeffs[None], cfg.n_frames, axis=0), *tables, +1)
     distances: list[float] = []
     ratios: list[float] = []
     diagnostics: dict = {"distances": distances, "ratios": ratios}
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        new = duhamel_map(psi)
+        new = _duhamel_map(F, g, lattice, tables, cfg.dt, psi0.coeffs, psi)
         denom = max(frame_norms(psi).max(), 1e-300)  # psi then takes the difference
-        diff = frame_norms(np.subtract(psi, new, out=None if psi is free else psi))
+        diff = frame_norms(np.subtract(psi, new, out=psi))
         dist = float(diff.max() / denom)
         distances.append(dist)
         diagnostics["iterations"] = it
@@ -245,28 +247,26 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     if not converged:
         raise PicardError("tolerance not reached within the iteration budget",
                           diagnostics)
-    # the free flow is not needed for the diagnostics: release it so that it
-    # does not add to their memory
-    del free
     diagnostics["duhamel_residual"] = dist
+    # Pi_+ = (I + S)/2 with S = i (-i S); the time tables are not needed for
+    # the diagnostics: release them so that they do not add to their memory
+    proj_plus = 0.5 * (np.eye(g.d0) + 1j * tables[0])
+    del tables
     scale = max(float(frame_norms(psi).max()), 1e-300)
     # one branch buffer beside psi: Pi_+ psi, then Pi_- psi = psi - Pi_+ psi
-    # over it; each branch's range defect is its part off its projector's range
+    # over it.  The range defect Pi_+ psi - Pi_+(Pi_+ psi) is measured once:
+    # in exact arithmetic it is Pi_+(Pi_- psi), the minus branch's defect.
     branch = apply_matrices(proj_plus, psi)
-    defects = []
-    for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
-        if s == -1:
-            np.subtract(psi, branch, out=branch)
-        off = apply_matrices(proj_plus, branch)
-        if s == +1:
-            np.subtract(branch, off, out=off)
-        defects.append(float(frame_norms(off).max()))
-        del off
-        diagnostics["projector_range_defect"] = max(defects) / scale
-        if cfg.monitor_solution_norm:
+    off = apply_matrices(proj_plus, branch)
+    np.subtract(branch, off, out=off)
+    diagnostics["projector_range_defect"] = float(frame_norms(off).max()) / scale
+    del off
+    if cfg.monitor_solution_norm:
+        for s, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
+            if s == -1:
+                np.subtract(psi, branch, out=branch)
             diagnostics[key] = solution_norm(
                 Trajectory(lattice, g.d0, times, branch), cfg.d / 2.0, s).value
-    if cfg.monitor_solution_norm:
         diagnostics["ball_radius"] = cfg.epsilon
     return PicardResult(Trajectory(lattice, g.d0, times, psi), diagnostics)
 
@@ -323,16 +323,6 @@ def evolve_dirac_rk4(
 # second-order (Klein-Gordon type) route
 
 
-def _dirac_rhs(coeffs: np.ndarray, F: PowerSeriesNonlinearity | None, g: GammaSet,
-               lattice: FrequencyLattice, mass: float) -> np.ndarray:
-    """H_m psi^ - beta F^(psi), the right-hand side of i d_t psi, for
-    coefficients with the spinor axis last and any leading axes."""
-    out = apply_matrices(g.dirac_symbol(lattice.xi, mass), coeffs)
-    if F is not None and not F.is_zero():
-        out -= apply_constant(g.beta, evaluate_coefficients(F, coeffs, lattice))
-    return out
-
-
 def second_order_data(
     psi0: SpinorField,
     F: PowerSeriesNonlinearity | None,
@@ -342,7 +332,10 @@ def second_order_data(
     """Time-derivative data consistent with the first-order equation:
     v = -i (H_m psi0 - beta F(psi0)), with H_m the Dirac symbol of mass m.
     """
-    v = -1j * _dirac_rhs(psi0.coeffs, F, g, psi0.lattice, mass)
+    v = apply_matrices(g.dirac_symbol(psi0.lattice.xi, mass), psi0.coeffs)
+    if F is not None and not F.is_zero():
+        v -= apply_constant(g.beta, evaluate_coefficients(F, psi0.coeffs, psi0.lattice))
+    v *= -1j
     return SecondOrderState(u=psi0.copy(), v=SpinorField(psi0.lattice, g.d0, v))
 
 
@@ -451,19 +444,24 @@ def dirac_residual(
     g: GammaSet,
     mass: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared L^2 residual of the first-order equation along a trajectory.
-
-    The time derivative is a central difference on the frame grid, spatial
-    derivatives are spectral; returns (interior times, residual values).
-    The residual i d_t psi - H_m psi + beta F is gamma^0 times the covariant
-    one, with the same norm.  For a true solution the values sit at
-    discretisation level, O(dt^4).
+    """Squared L^2 residual of the first-order equation along a trajectory,
+    in the interaction picture w = U(-t) psi of the mass-m propagator:
+    r_k = i (w_{k+1} - w_{k-1}) / (2 dt) + U(-t_k) beta F(psi_k); returns
+    (interior times, |r_k|^2).  U is unitary, so in the continuum |r| is the
+    norm of i d_t psi - H_m psi + beta F; the difference does not see the
+    free oscillation, so an exact free flow reads at rounding level.
     """
     if tr.n_frames < 3:
         raise ValueError("residual needs at least 3 frames")
-    res = np.subtract(tr.frames[2:], tr.frames[:-2])
+    tables = _propagator_tables(g, tr.lattice, tr.times, mass)
+    w = _free_propagate(tr.frames.copy(), *tables, -1)
+    res = np.subtract(w[2:], w[:-2])
+    del w
     res *= 0.5j / tr.dt
-    res -= _dirac_rhs(tr.frames[1:-1], F, g, tr.lattice, mass)
+    if F is not None and not F.is_zero():
+        kick = apply_constant(g.beta, evaluate_coefficients(F, tr.frames[1:-1], tr.lattice))
+        isym, cos_t, sin_t = tables
+        res += _free_propagate(kick, isym, cos_t[1:-1], sin_t[1:-1], -1)
     return tr.times[1:-1], frame_norms(res) ** 2
 
 

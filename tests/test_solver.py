@@ -21,7 +21,9 @@ from spintorus.solver import (
     PicardError,
     SolveConfig,
     _cumulative_trapezoid,
-    _duhamel_corrections,
+    _duhamel_map,
+    _free_propagate,
+    _propagator_tables,
     _second_order_rhs,
     dirac_residual,
     evolve_dirac_rk4,
@@ -38,7 +40,6 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
-    apply_matrices,
     from_grid,
     japanese_bracket,
     project_dirac,
@@ -99,18 +100,13 @@ def test_half_wave_basics(rng):
 # Duhamel quadrature
 
 
-def _phase(times, lattice):
-    """e^{-/+ i t <xi>} by sign, as picard_solve passes them to the quadrature."""
-    p = np.exp(-1j * times.reshape((-1,) + (1,) * lattice.d) * lattice.bracket)
-    return {+1: p, -1: np.conj(p)}
-
-
-def _constant_psi_corrections(F, psi_c, m, dt):
-    """Both Duhamel corrections at the last of m frames, psi constant in time."""
+def _constant_psi_image(F, psi_c, m, dt):
+    """The Duhamel map's image at the last of m frames for psi constant in
+    time and psi0 = 0: the quadrature of the nonlinear term alone."""
     frames = np.repeat(psi_c.coeffs[None], m, axis=0)
-    corr = _duhamel_corrections(F, G1, LAT16, projector_symbol(G1, LAT16.xi, +1),
-                                _phase(dt * np.arange(m), LAT16), dt, frames)
-    return SpinorField(LAT16, 2, corr[+1][-1]), SpinorField(LAT16, 2, corr[-1][-1])
+    tables = _propagator_tables(G1, LAT16, dt * np.arange(m), 1.0)
+    image = _duhamel_map(F, G1, LAT16, tables, dt, np.zeros_like(psi_c.coeffs), frames)
+    return image[-1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 33])
@@ -124,39 +120,23 @@ def test_cumulative_trapezoid_in_place_matches_out_of_place(rng, m):
     assert np.array_equal(out, expected)
 
 
-def test_duhamel_zero_nonlinearity(rng):
-    F0 = PowerSeriesNonlinearity(2, {})
-    dp, dm = _constant_psi_corrections(F0, random_field(LAT16, 2, rng), 9, 0.05)
-    assert dp.l2_norm() == 0.0 and dm.l2_norm() == 0.0
-
-
 def test_duhamel_constant_integrand_closed_form(rng):
-    # psi constant in s: the integral is i (1 - e^{-i t <xi>}) / <xi> G0^
+    # psi constant in s: the integral is the sum over both branches of
+    # i (1 - e^{-/+ i t <xi>}) / (+/- i <xi>) Pi_pm beta F^
     F = bundled_cubic(2)
     psi_c = gaussian_data(LAT16, 2, 0.05, 0.5, seed=4)
     g0 = evaluate_coefficients(F, psi_c.coeffs, LAT16)
     g0 = SpinorField(LAT16, 2, np.einsum("ab,...b->...a", G1.beta, g0))
     t = 0.5
-    errs = []
-    for dt in (0.05, 0.025):
-        dp, dm = _constant_psi_corrections(F, psi_c, int(round(t / dt)) + 1, dt)
-        bracket = LAT16.bracket[..., None]
-        for sign, out in ((+1, dp), (-1, dm)):
-            proj = project_dirac(G1, g0, sign).coeffs
-            kernel = 1j * (1.0 - np.exp(-1j * sign * t * bracket)) / (1j * sign * bracket)
-            exact = kernel * proj
-            errs.append(np.abs(out.coeffs - exact).max())
+    bracket = LAT16.bracket[..., None]
+    exact = 0.0
+    for sign in (+1, -1):
+        kernel = 1j * (1.0 - np.exp(-1j * sign * t * bracket)) / (1j * sign * bracket)
+        exact = exact + kernel * project_dirac(G1, g0, sign).coeffs
+    errs = [np.abs(_constant_psi_image(F, psi_c, int(round(t / dt)) + 1, dt) - exact).max()
+            for dt in (0.05, 0.025)]
     # halving dt shrinks the trapezoid error by ~4
-    assert errs[2] <= errs[0] / 3.0 + 1e-18
-    assert errs[3] <= errs[1] / 3.0 + 1e-18
-
-
-def test_duhamel_plus_branch_in_projector_range(rng):
-    F = bundled_cubic(2)
-    psi_c = gaussian_data(LAT16, 2, 0.05, 0.5, seed=5)
-    dp, _ = _constant_psi_corrections(F, psi_c, 11, 0.05)
-    off = project_dirac(G1, dp, -1)
-    assert off.l2_norm() <= 1e-12 * max(dp.l2_norm(), 1e-30)
+    assert errs[1] <= errs[0] / 3.0 + 1e-18
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +173,37 @@ def test_cubic_solve_contracts_and_matches_oracle():
     assert _sup_dist(res.trajectory, oracle) <= 1e-6
 
 
-def test_solve_applies_the_map_once_per_iteration(monkeypatch):
+def _map_case():
     F = bundled_cubic(2)
     psi0 = gaussian_data(LAT16, 2, 0.05, 0.5, seed=13)
     cfg = SolveConfig(d=1, radius=16, dt=0.05, horizon=1.0, epsilon=0.05,
                       nonlinearity=F, picard_tol=1e-6, monitor_solution_norm=False)
+    return F, psi0, cfg
+
+
+def test_solve_applies_the_map_once_per_iteration(monkeypatch):
+    F, psi0, cfg = _map_case()
     calls = []
-    corrections = solver._duhamel_corrections
-    monkeypatch.setattr(solver, "_duhamel_corrections",
-                        lambda *args: calls.append(1) or corrections(*args))
+    monkeypatch.setattr(solver, "_duhamel_map",
+                        lambda *args: calls.append(1) or _duhamel_map(*args))
     res = picard_solve(cfg, psi0)
     diag = res.diagnostics
     assert diag["iterations"] == 3
     assert len(calls) == diag["iterations"]
     assert diag["duhamel_residual"] == diag["distances"][-1]
-    # the map rebuilt here: the returned frames are its image of the last
-    # iterate, at the reported residual from it, and move less than that
-    # under one more application
-    proj_plus = projector_symbol(G1, LAT16.xi, +1)
-    phase = _phase(res.trajectory.times, LAT16)
-    plus0 = apply_matrices(proj_plus, psi0.coeffs)
-    free = phase[+1][..., None] * plus0 + phase[-1][..., None] * (psi0.coeffs - plus0)
+    # the map rebuilt here from the free flow: the returned frames are its
+    # image of the last iterate, at the reported residual from it, and move
+    # less than that under one more application
+    tables = _propagator_tables(G1, LAT16, res.trajectory.times, 1.0)
 
     def duhamel_map(psi):
-        corr = corrections(F, G1, LAT16, proj_plus, phase, cfg.dt, psi)
-        return free + corr[+1] + corr[-1]
+        return _duhamel_map(F, G1, LAT16, tables, cfg.dt, psi0.coeffs, psi)
 
     def sup(x):
         return np.linalg.norm(x.reshape(x.shape[0], -1), axis=1).max()
 
-    iterate = free
+    iterate = _free_propagate(np.repeat(psi0.coeffs[None], res.trajectory.n_frames, axis=0),
+                              *tables, +1)
     for _ in range(diag["iterations"] - 1):
         iterate = duhamel_map(iterate)
     image = duhamel_map(iterate)
@@ -233,9 +214,23 @@ def test_solve_applies_the_map_once_per_iteration(monkeypatch):
     assert sup(duhamel_map(frames) - frames) / sup(frames) < diag["duhamel_residual"]
 
 
+def test_solve_runs_one_quadrature_per_iteration(monkeypatch):
+    # the Duhamel formula is integrated once per map, in the interaction
+    # picture, not once per half-wave branch
+    F, psi0, cfg = _map_case()
+    calls = []
+    trapezoid = solver._cumulative_trapezoid
+    monkeypatch.setattr(solver, "_cumulative_trapezoid",
+                        lambda *args: calls.append(1) or trapezoid(*args))
+    res = picard_solve(cfg, psi0)
+    assert res.diagnostics["iterations"] == 3
+    assert len(calls) == res.diagnostics["iterations"]
+
+
 def test_symbols_are_built_once_per_route(monkeypatch):
-    # picard_solve builds Pi_+ alone (Pi_- is 1 - Pi_+), and the second-order
-    # route builds H_m once per call, not once per step
+    # picard_solve builds H_m once and no projector (its propagator and Pi_+
+    # both come from S = H_m / <xi>), and the second-order route builds H_m
+    # once per call, not once per step
     signs, dirac_calls = [], []
     projector = solver.projector_symbol
     monkeypatch.setattr(solver, "projector_symbol",
@@ -247,7 +242,8 @@ def test_symbols_are_built_once_per_route(monkeypatch):
     psi0 = gaussian_data(LAT16, 2, 1e-3, 0.5, seed=7)
     picard_solve(SolveConfig(d=1, radius=16, dt=1.0 / 16.0, horizon=0.5, epsilon=1e-3,
                              nonlinearity=F), psi0)
-    assert signs == [+1]
+    assert signs == []
+    assert dirac_calls == [1]
     state = second_order_data(psi0, F, G1, 0.8)
     dirac_calls.clear()
     evolve_klein_gordon(state, F, G1, 0.8, 1.0 / 16.0, 0.5)
@@ -256,10 +252,10 @@ def test_symbols_are_built_once_per_route(monkeypatch):
 
 def test_solve_memory_stays_pinned(monkeypatch):
     # tracemalloc counts every numpy buffer.  Over the trajectory's bytes the
-    # solve peaks inside the Duhamel map at 20.9, and it enters the
-    # solution-norm diagnostics holding 3.2 (psi, one branch buffer, the
-    # phase tables and the projectors): an iterate, the free flow or a second
-    # branch kept alive there adds 1, which only the second bound sees.
+    # solve peaks inside the Duhamel map, and it enters the solution-norm
+    # diagnostics holding psi and one branch buffer (the propagator's time
+    # tables are released by then): an iterate or a second branch kept alive
+    # there adds 1, which only the second bound sees.
     lat = FrequencyLattice(2, 6)
     psi0 = gaussian_data(lat, 2, 1e-3, 1.0, seed=3)
     cfg = SolveConfig(d=2, radius=6, dt=1.0 / 16.0, horizon=1.0, epsilon=1e-3,
@@ -278,14 +274,16 @@ def test_solve_memory_stays_pinned(monkeypatch):
     size = res.trajectory.frames.nbytes
     assert len(held) == 2
     assert peak / size <= 22.0
-    assert max(held) / size <= 3.5
+    assert max(held) / size <= 3.0
 
 
 def test_duhamel_map_memory_stays_pinned(monkeypatch):
     # With one frame per padded-grid chunk the frames dominate, so the peak
-    # counts the map's work trajectories: 4.99 trajectories here with the
-    # corrections formed in place, 6.99 with the out-of-place quadrature,
-    # sum and stopping difference.
+    # counts work trajectories.  The map holds the iterate and its image w
+    # (beside F^ while i beta F^ is formed, then beside the propagator's one
+    # temporary), 3.46 with the tables; the solution-norm monitor after it
+    # peaks at 3.78.  The two-branch map with a stored free flow peaked at
+    # 4.99 here.
     monkeypatch.setattr(nl, "CHUNK_BYTES", 1)
     g = build_gamma(3)
     lat = FrequencyLattice(3, 4)
@@ -300,7 +298,7 @@ def test_duhamel_map_memory_stays_pinned(monkeypatch):
     finally:
         tracemalloc.stop()
     assert res.trajectory.n_frames == 33
-    assert peak / res.trajectory.frames.nbytes <= 5.25
+    assert peak / res.trajectory.frames.nbytes <= 4.0
 
 
 def test_klein_gordon_memory_stays_pinned():
@@ -614,26 +612,25 @@ def test_second_order_rhs_transforms_and_applies_once(monkeypatch, rng, d):
 # residual and monitoring
 
 
-def test_residual_of_sampled_free_solution_fourth_order():
+def _relative_residual(tr, F, g, mass=1.0):
+    _, v = dirac_residual(tr, F, g, mass)
+    return v.max() / (np.linalg.norm(tr.frames.reshape(tr.n_frames, -1), axis=1) ** 2).max()
+
+
+def test_residual_of_sampled_free_solution_is_rounding():
+    # the interaction picture of an exact free flow is constant, so the
+    # meter reads rounding, not the (dt <xi>)^2 error of differencing psi
     psi0 = gaussian_data(LAT16, 2, 0.1, 0.5, seed=16)
     st = split(psi0, G1)
-
-    def sampled(dt):
-        m = int(round(1.0 / dt)) + 1
-        times = dt * np.arange(m)
-        frames = np.stack(
-            [
-                (half_wave(st.plus, float(t), +1) + half_wave(st.minus, float(t), -1)).coeffs
-                for t in times
-            ]
-        )
-        tr = Trajectory(LAT16, 2, times, frames)
-        _, v = dirac_residual(tr, None, G1)
-        return v.max()
-
-    v1, v2 = sampled(1.0 / 8.0), sampled(1.0 / 16.0)
-    rate = np.log2(v1 / v2)
-    assert rate >= 3.5  # squared central-difference residual: O(dt^4)
+    dt = 1.0 / 16.0
+    times = dt * np.arange(17)
+    frames = np.stack(
+        [
+            (half_wave(st.plus, float(t), +1) + half_wave(st.minus, float(t), -1)).coeffs
+            for t in times
+        ]
+    )
+    assert _relative_residual(Trajectory(LAT16, 2, times, frames), None, G1) <= 1e-20
 
 
 def test_residual_refinement_rate_on_solver_output():
@@ -653,29 +650,47 @@ def test_residual_refinement_rate_on_solver_output():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_residual_matches_covariant_form(rng, d):
-    # i gamma^0 d_t psi + i sum_j gamma^j d_j psi - m psi + F(psi), term by
-    # term on O(1) frames; gamma^0 is unitary, so its norm is the residual's
+    # i (w_{k+1} - w_{k-1}) / (2 dt) + U(-t_k) beta F(psi_k), w = U(-t) psi,
+    # on O(1) frames, with U(t) = V e^{-i t lambda} V^H per lattice point from
+    # the eigendecomposition of H_m written out here
     g = build_gamma(d)
     lat = FrequencyLattice(d, 2)
     F = bundled_cubic(g.d0)
     dt = 0.1
+    times = dt * np.arange(5)
     frames = np.stack([random_field(lat, g.d0, rng).coeffs for _ in range(5)])
     frames /= np.sqrt(lat.size)
-    tr = Trajectory(lat, g.d0, dt * np.arange(5), frames)
+    tr = Trajectory(lat, g.d0, times, frames)
 
-    def const(m, x):
-        return np.einsum("ab,...b->...a", m, x)
+    def back(lam, vec, t, x):
+        u = (vec * np.exp(1j * t * lam)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))
+        return np.einsum("...ab,...b->...a", u, x)
 
-    mid = frames[1:-1]
     for mass in (1.0, 0.7):
-        res = 1j * const(g.gamma[0], (frames[2:] - frames[:-2]) / (2.0 * dt))
-        for j in range(d):
-            res += 1j * const(g.gamma[j + 1], 1j * lat.xi[..., j, None] * mid)
-        res -= mass * mid
-        res += evaluate_coefficients(F, mid, lat)
+        h = mass * g.beta + sum(lat.xi[..., j, None, None] * g.alpha[j] for j in range(d))
+        lam, vec = np.linalg.eigh(h)
+        w = np.stack([back(lam, vec, t, x) for t, x in zip(times, frames)])
+        kick = np.einsum("ab,...b->...a", g.beta, evaluate_coefficients(F, frames, lat))
+        res = 1j * (w[2:] - w[:-2]) / (2.0 * dt)
+        res += np.stack([back(lam, vec, t, x) for t, x in zip(times[1:-1], kick[1:-1])])
         ref = np.linalg.norm(res.reshape(3, -1), axis=1) ** 2
         _, values = dirac_residual(tr, F, g, mass)
         assert np.abs(values - ref).max() <= 1e-12 * ref.max(), mass
+    assert np.array_equal(tr.frames, frames)  # the meter does not write the frames
+
+
+def test_residual_flags_wrong_trajectories():
+    # a solve checked with the wrong mass or the wrong nonlinearity reads at
+    # least 100 times what the correct check reads
+    F = bundled_cubic(2)
+    psi0 = gaussian_data(LAT16, 2, 0.1, 0.5, seed=19)
+    cfg = SolveConfig(d=1, radius=16, dt=1.0 / 256.0, horizon=1.0, epsilon=0.1,
+                      nonlinearity=F, picard_tol=1e-13, monitor_solution_norm=False)
+    tr = picard_solve(cfg, psi0).trajectory
+    right = _relative_residual(tr, F, G1)
+    doubled = PowerSeriesNonlinearity(2, {p: 2.0 * c for p, c in F.terms.items()})
+    assert _relative_residual(tr, F, G1, 1.01) >= 100.0 * right
+    assert _relative_residual(tr, doubled, G1) >= 100.0 * right
 
 
 def test_residual_needs_three_frames(rng):
