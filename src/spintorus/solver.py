@@ -2,19 +2,19 @@
 
 The first-order system is solved as a fixed point of the Duhamel formula
 psi(t) = U(t)[psi0 + i int_0^t U(-s) beta F(psi(s)) ds] (Picard iteration),
-the integral taken in the interaction picture w = U(-t) psi by one
-cumulative trapezoid on a uniform frame grid.  The free propagator is
-applied in closed form, U(t) = cos(t lam) - i sin(t lam) S with
-S = H_m / lam and lam = <xi>_m; the pointwise equation residual differences
-w through the same propagator.  The iterate is psi on the frames; the solve
-returns the last image, and the stopping test's distance between it and
-the iterate it came from is the reported Duhamel residual.  Cross-checks: a
-fourth-order exponential Runge-Kutta stepper on psi and the reference flows
-``split`` / ``half_wave``, which keep the projector form
-U(t) = p Pi_+ + conj(p) (1 - Pi_+), p = e^{-i t <xi>}, so that they check
-the closed form rather than share it; and the second-order (Klein-Gordon
-type) evolution.  The mass is normalised to 1 in the Picard and RK4
-solvers; the second-order route and the residual take a general mass m.
+the integral a trapezoid on a uniform frame grid taken as the exponential
+trapezoidal rule: one step U(dt) per frame, with U(t) = cos(t lam) -
+i sin(t lam) S, S = H_m / lam, lam = <xi>_m.  The pointwise equation
+residual differences w = U(-t) psi with U tabulated at every frame time, so
+it meters the recursion independently.  The solve returns the last image of
+the iterate psi; the stopping test's distance between the two is the
+reported Duhamel residual.  Cross-checks: a fourth-order exponential
+Runge-Kutta stepper on psi and the reference flows ``split`` /
+``half_wave``, which keep the projector form U(t) = p Pi_+ + conj(p)
+(1 - Pi_+), p = e^{-i t <xi>}, so that they check the closed form rather
+than share it; and the second-order (Klein-Gordon type) evolution.  The
+mass is normalised to 1 in the Picard and RK4 solvers; the second-order
+route and the residual take a general mass m.
 """
 
 from __future__ import annotations
@@ -134,19 +134,26 @@ def half_wave(f: SpinorField, t: float, sign: int) -> SpinorField:
 
 
 # ---------------------------------------------------------------------------
-# the free propagator, Duhamel quadrature and the fixed-point map
+# the free propagator and the fixed-point map
 
 
-def _propagator_tables(g: GammaSet, lattice: FrequencyLattice, times: np.ndarray,
-                       mass: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-i S, cos(t lam), sin(t lam)) of U(t) = cos(t lam) - i sin(t lam) S,
-    S = H_m / lam, lam = (m^2 + |xi|^2)^{1/2}, at the M ``times``: shapes
-    lattice.shape + (d0, d0) and (M,) + lattice.shape.  S is H_m times
-    1/lam, as in ``projector_symbol``, so (I + S)/2 is Pi_+ to the bit."""
+def _dirac_generator(g: GammaSet, lattice: FrequencyLattice,
+                     mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """(-i S, lam), S = H_m / lam, lam = (m^2 + |xi|^2)^{1/2}: shapes
+    lattice.shape + (d0, d0) and lattice.shape.  S is H_m times 1/lam, as in
+    ``projector_symbol``, so (I + S)/2 is Pi_+ to the bit."""
     lam = np.sqrt(mass * mass + lattice.xi_norm_sq)
     isym = g.dirac_symbol(lattice.xi, mass)
     isym *= (1.0 / lam)[..., None, None]
     isym *= -1j
+    return isym, lam
+
+
+def _propagator_tables(g: GammaSet, lattice: FrequencyLattice, times: np.ndarray,
+                       mass: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-i S, cos(t lam), sin(t lam)) of ``_dirac_generator`` at the M
+    ``times``, the two tables of shape (M,) + lattice.shape."""
+    isym, lam = _dirac_generator(g, lattice, mass)
     t_lam = times.reshape((-1,) + (1,) * lattice.d) * lam
     return isym, np.cos(t_lam), np.sin(t_lam)
 
@@ -161,28 +168,21 @@ def _free_propagate(x: np.ndarray, isym: np.ndarray, cos_t: np.ndarray,
     return (np.add if sign > 0 else np.subtract)(x, turn, out=x)
 
 
-def _cumulative_trapezoid(w: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0 with uniform step, written over ``w``
-    (pair sums backwards, frame by frame: no temporary); entry 0 is 0."""
-    for k in range(w.shape[0] - 1, 0, -1):
-        w[k] += w[k - 1]
-    w[0] = 0.0
-    w[1:] *= 0.5 * dt
-    np.cumsum(w[1:], axis=0, out=w[1:])
+def _duhamel_map(w: np.ndarray, step: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
+    """U(t_k)[psi0 + int_0^{t_k} U(-s) f(s) ds] at every frame for the
+    integrand f on the frames of ``w``, written over ``w``, by the exponential
+    trapezoidal rule V_k = U(dt)(V_{k-1} + dt/2 f_{k-1}) + dt/2 f_k from
+    V_0 = psi0 (the trapezoid on U(-s) f(s), reordered); ``step`` is U(dt),
+    applied once per frame to the carry V_k + dt/2 f_k."""
+    carry = psi0 + (0.5 * dt) * w[0]
+    w[0] = psi0
+    for k in range(1, w.shape[0]):
+        y = apply_matrices(step, carry)
+        np.multiply(w[k], dt, out=carry)
+        carry += y
+        w[k] *= 0.5 * dt
+        w[k] += y
     return w
-
-
-def _duhamel_map(F: PowerSeriesNonlinearity, g: GammaSet, lattice: FrequencyLattice,
-                 tables: tuple, dt: float, psi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds] at every frame, as
-    a new array, with the trapezoid on the interaction-picture integrand;
-    ``psi`` is the iterate, ``psi0`` the data's coefficients and ``tables``
-    those of ``_propagator_tables`` at the frame times."""
-    w = apply_constant(1j * g.beta, evaluate_coefficients(F, psi, lattice))
-    _free_propagate(w, *tables, -1)
-    _cumulative_trapezoid(w, dt)
-    w += psi0
-    return _free_propagate(w, *tables, +1)
 
 
 @dataclass
@@ -194,20 +194,19 @@ class PicardResult:
 def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     """Solve the Dirac system by Picard iteration of the Duhamel map.
 
-    The iterate is psi on the frames.  Each step maps it to
-    psi_new(t_k) = U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds],
-    with trapezoid quadrature on the frame grid, starting from the free
-    evolution U(t_k) psi0, until the sup-in-time relative L^2 distance
-    between an iterate and its image drops below the tolerance.  The
-    returned trajectory is that image and ``duhamel_residual`` is that
-    distance, so a solve applies the map ``iterations`` times.  Where the
-    map contracts with ratio q, one more application would move the
-    returned frames by at most q times that distance (in units of the
-    iterate's sup norm).  Aborts with diagnostics if the map stops
-    contracting (ratio >= 1 for three consecutive iterations) or the
-    tolerance is not reached within the iteration budget.  After
-    convergence Pi_+ = (I + S)/2 forms the branches Pi_+ psi and
-    Pi_- psi = psi - Pi_+ psi, one at a time, for the diagnostics.
+    The iterate psi on the frames starts as the free flow U(t_k) psi0 and
+    is mapped to U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds] by
+    ``_duhamel_map`` (one U(dt) per frame, no time tables) until the
+    sup-in-time relative L^2 distance between an iterate and its image
+    drops below the tolerance.  The returned trajectory is that image and
+    ``duhamel_residual`` that distance, so a solve applies the map
+    ``iterations`` times.  Where the map contracts with ratio q, one more
+    application would move the returned frames by at most q times that
+    distance (in units of the iterate's sup norm).  Aborts with diagnostics
+    if the map stops contracting (ratio >= 1 for three consecutive
+    iterations) or the tolerance is not reached within the iteration
+    budget.  After convergence Pi_+ = (I + S)/2 forms the branches Pi_+ psi
+    and Pi_- psi = psi - Pi_+ psi, one at a time, for the diagnostics.
     """
     lattice = cfg.lattice()
     g = build_gamma(cfg.d)
@@ -215,19 +214,21 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         raise ValueError("initial data does not match the configuration")
     data_norm = sobolev_norm(psi0, cfg.s)
     if data_norm > cfg.epsilon * (1.0 + 1e-9):
-        raise ValueError(
-            f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}"
-        )
+        raise ValueError(f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}")
     F = cfg.nonlinearity if cfg.nonlinearity is not None else PowerSeriesNonlinearity(g.d0, {})
     times = cfg.dt * np.arange(cfg.n_frames)
-    tables = _propagator_tables(g, lattice, times, 1.0)
-    psi = _free_propagate(np.repeat(psi0.coeffs[None], cfg.n_frames, axis=0), *tables, +1)
+    isym, lam = _dirac_generator(g, lattice, 1.0)
+    step = np.sin(cfg.dt * lam)[..., None, None] * isym  # U(dt)
+    step += np.cos(cfg.dt * lam)[..., None, None] * np.eye(g.d0)
+    psi = _duhamel_map(np.zeros((cfg.n_frames,) + psi0.coeffs.shape, complex), step, cfg.dt,
+                       psi0.coeffs)  # the free flow U(t_k) psi0: a zero integrand
     distances: list[float] = []
     ratios: list[float] = []
     diagnostics: dict = {"distances": distances, "ratios": ratios}
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        new = _duhamel_map(F, g, lattice, tables, cfg.dt, psi0.coeffs, psi)
+        f = apply_constant(1j * g.beta, evaluate_coefficients(F, psi, lattice))
+        new = _duhamel_map(f, step, cfg.dt, psi0.coeffs)
         denom = max(frame_norms(psi).max(), 1e-300)  # psi then takes the difference
         diff = frame_norms(np.subtract(psi, new, out=psi))
         dist = float(diff.max() / denom)
@@ -245,13 +246,12 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
             raise PicardError("fixed-point map is not contracting", diagnostics)
     diagnostics["converged"] = converged
     if not converged:
-        raise PicardError("tolerance not reached within the iteration budget",
-                          diagnostics)
+        raise PicardError("tolerance not reached within the iteration budget", diagnostics)
     diagnostics["duhamel_residual"] = dist
-    # Pi_+ = (I + S)/2 with S = i (-i S); the time tables are not needed for
+    # Pi_+ = (I + S)/2 with S = i (-i S); -i S and U(dt) are not needed for
     # the diagnostics: release them so that they do not add to their memory
-    proj_plus = 0.5 * (np.eye(g.d0) + 1j * tables[0])
-    del tables
+    proj_plus = 0.5 * (np.eye(g.d0) + 1j * isym)
+    del isym, lam, step
     scale = max(float(frame_norms(psi).max()), 1e-300)
     # one branch buffer beside psi: Pi_+ psi, then Pi_- psi = psi - Pi_+ psi
     # over it.  The range defect Pi_+ psi - Pi_+(Pi_+ psi) is measured once:

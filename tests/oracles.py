@@ -4,16 +4,24 @@ Each one computes its quantity straight from the definition, in the form
 the package's batched or collapsed code replaced: a single-mode field, a
 derivative as a lattice multiplier, a modulation cutoff by its own time
 transform, the modulation seminorm and a scale block, dense cap weight
-tables, and F(u1) - F(u2) by the integral-remainder expansion.  No command
-or benchmark calls them.
+tables, F(u1) - F(u2) by the integral-remainder expansion, and the Duhamel
+map by its closed-form propagator at every frame time.  No command or
+benchmark calls them.
 """
 
 import numpy as np
 
+from spintorus.clifford import GammaSet
 from spintorus.dyadic import CapCover, annulus_profile, modulation_distance
-from spintorus.nonlinear import PowerSeriesNonlinearity, decrement_index, multinomial_split
+from spintorus.nonlinear import (
+    PowerSeriesNonlinearity,
+    decrement_index,
+    evaluate_coefficients,
+    multinomial_split,
+)
 from spintorus.norms import NormReport, _modulation_densities, frame_norms
-from spintorus.spectral import FrequencyLattice, SpinorField, Trajectory
+from spintorus.solver import _free_propagate, _propagator_tables
+from spintorus.spectral import FrequencyLattice, SpinorField, Trajectory, apply_constant
 
 
 def plane_wave(lattice: FrequencyLattice, d0: int, xi, spinor) -> SpinorField:
@@ -125,3 +133,18 @@ def difference_expansion(F: PowerSeriesNonlinearity, u1, u2) -> np.ndarray:
                 w = p[i - 1] * coeff / (sum(m) + 1)
                 out += (w * mono * diff[..., i - 1])[..., None] * c
     return out
+
+
+def closed_form_duhamel_map(F: PowerSeriesNonlinearity, g: GammaSet, lattice: FrequencyLattice,
+                            dt: float, psi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """U(t_k)[psi0 + i int_0^{t_k} U(-s) beta F(psi(s)) ds] at every frame of
+    the iterate ``psi``: the integrand taken to the interaction picture by
+    U(-t_k), a cumulative trapezoid, + psi0, and back by U(t_k), with the
+    closed-form propagator tabulated at every frame time (mass 1)."""
+    tables = _propagator_tables(g, lattice, dt * np.arange(psi.shape[0]), 1.0)
+    w = apply_constant(1j * g.beta, evaluate_coefficients(F, psi, lattice))
+    _free_propagate(w, *tables, -1)
+    acc = np.zeros_like(w)
+    acc[1:] = np.cumsum((w[1:] + w[:-1]) * (0.5 * dt), axis=0)
+    acc += psi0
+    return _free_propagate(acc, *tables, +1)
