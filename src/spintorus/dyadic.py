@@ -39,9 +39,16 @@ def _expbump_step(y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[y >= 1.0] = 1.0
     mid = (y > 0.0) & (y < 1.0)
-    ym = y[mid]
-    a, b = np.exp(-1.0 / np.stack((ym, 1.0 - ym)))
-    out[mid] = a / (a + b)
+    # in place: on the solution-norm monitor's (tau, xi) grid every
+    # temporary here is as large as that grid
+    b = y[mid]
+    a = np.divide(-1.0, b)
+    np.exp(a, out=a)
+    np.subtract(1.0, b, out=b)
+    np.divide(-1.0, b, out=b)
+    np.exp(b, out=b)
+    b += a
+    out[mid] = np.divide(a, b, out=a)
     return out
 
 

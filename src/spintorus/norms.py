@@ -6,10 +6,13 @@ definitions are test references in ``tests/oracles.py``.
 
 ``frame_norms`` is the one place where a trajectory's per-frame L^2 norms
 are computed; the sup-in-time energy, the Picard stopping test and the
-equation residual all read it.  The modulation-based norms use the
-periodic-window discrete time transform, so their L^2_t pairing is the DFT
-Parseval sum; this is the desk-scale surrogate for the whole-line transform
-and its leakage is part of the test budgets.
+equation residual all read it.  Its kernel, one float64 dot product per
+piece with no complex temporary, also gives the per-point spinor densities
+of the solution-space norm.  The modulation-based norms use the
+periodic-window discrete time transform, ``spectral.time_transform``, so
+their L^2_t pairing is the DFT Parseval sum; this is the desk-scale
+surrogate for the whole-line transform and its leakage is part of the test
+budgets.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .spectral import (
     apply_matrices,
     projector_symbol,
     random_field,
+    time_transform,
 )
 
 
@@ -91,17 +95,22 @@ def besov_norm(f: SpinorField, s: float) -> float:
 # frame L^2 norms
 
 
-def frame_norms(frames: np.ndarray) -> np.ndarray:
-    """The L^2 norm of each frame, frames[k] for k along the first axis.
+def _squared_rows(x: np.ndarray, rows: int) -> np.ndarray:
+    """The squared l^2 norm of each of the ``rows`` equal C-order pieces of
+    x, shape (rows,).
 
-    Each squared norm is one dot product of the frame's float64 view with
-    itself, with no complex temporary.  Other dtypes are cast to complex128
-    or float64 first, and any other layout is copied to C order.
+    Each is one dot product of the piece's float64 view with itself, with
+    no complex temporary.  Other dtypes are cast to complex128 or float64
+    first, and any other layout is copied to C order.
     """
-    m = frames.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(frames) else np.float64
-    flat = np.ascontiguousarray(frames.reshape(m, -1), dtype=dtype).view(np.float64)
-    return np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(m))
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    flat = np.ascontiguousarray(x, dtype=dtype).view(np.float64).reshape(rows, -1)
+    return (flat[:, None, :] @ flat[:, :, None]).reshape(rows)
+
+
+def frame_norms(frames: np.ndarray) -> np.ndarray:
+    """The L^2 norm of each frame, frames[k] for k along the first axis."""
+    return np.sqrt(_squared_rows(frames, frames.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +118,10 @@ def frame_norms(frames: np.ndarray) -> np.ndarray:
 
 
 def _spinor_density(frames: np.ndarray) -> np.ndarray:
-    """|frames|^2 summed over spinor components, shape (M, lattice size)."""
-    sq = np.abs(frames)
-    sq *= sq
-    return sq.sum(axis=-1).reshape(frames.shape[0], -1)
+    """|frames|^2 summed over spinor components, shape (M, lattice size):
+    one dot product per point, as in ``frame_norms``."""
+    points = frames.size // frames.shape[-1]
+    return _squared_rows(frames, points).reshape(frames.shape[0], -1)
 
 
 def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
@@ -130,7 +139,7 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     if tr.n_frames < 2:
         raise ValueError("modulation norms need at least 2 frames")
     m = tr.n_frames
-    spec = _spinor_density(np.fft.fft(tr.frames, axis=0))
+    spec = _spinor_density(time_transform(tr.frames))
     spec *= window_length(tr) / m**2
     dist = modulation_distance(tr, sign).reshape(m, -1)
     jmin, jmax = covering_scale_range(dist)

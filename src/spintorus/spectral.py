@@ -23,6 +23,10 @@ Conventions (used consistently across the package):
   thrown away is computed.  A longer axis is padded and inverse-transformed
   by a 1-D FFT or transformed and cut to the lattice rows, because there the
   FFT's n log n wins.
+* ``time_transform`` is the one DFT along the frame (time) axis.  It is a
+  product with a cached dense (M, M) DFT matrix when M is at most
+  ``DENSE_MAX_GRID`` and at most the values per frame, so the matrix is
+  never larger than the frames; otherwise numpy's FFT along axis 0.
 * Padded grids are component-major: ``to_grid`` returns a view of
   (batch, d0, grid, ..., grid) memory with shape batch + (grid,)*d + (d0,),
   so each spinor component is a contiguous plane, and ``from_grid`` reads
@@ -160,8 +164,8 @@ def random_field(
 # transforms
 
 
-# Longest grid axis that is transformed by a dense matrix; a longer one goes
-# through numpy's FFT.  The dense path wins every single-frame axis up to
+# Longest grid axis, and longest frame axis of ``time_transform``, that is
+# transformed by a dense matrix; a longer one goes through numpy's FFT.  The dense path wins every single-frame axis up to
 # 321 points and every d >= 2 grid measured; 257-frame d = 1 batches favour
 # the FFT from 129 points up (see README).
 DENSE_MAX_GRID = 257
@@ -188,6 +192,27 @@ def _analysis_matrix(grid: int, radius: int) -> np.ndarray:
     mat = np.ascontiguousarray(np.fft.fft(np.eye(grid), axis=0, norm="forward")[rows])
     mat.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=64)
+def _dft_matrix(m: int) -> np.ndarray:
+    """(m, m) unnormalised DFT matrix: numpy's forward FFT of the identity,
+    so it holds the FFT's own twiddles."""
+    mat = np.fft.fft(np.eye(m), axis=0)
+    mat.flags.writeable = False
+    return mat
+
+
+def time_transform(frames: np.ndarray) -> np.ndarray:
+    """The unnormalised DFT of ``frames`` along its first (time) axis, in FFT
+    order, same shape.  Up to ``DENSE_MAX_GRID`` frames, and while the
+    (M, M) matrix is no larger than the frames it transforms (M at most
+    the values per frame), it is one product with a cached dense DFT
+    matrix; otherwise numpy's FFT along axis 0."""
+    m = frames.shape[0]
+    if m <= DENSE_MAX_GRID and m <= frames[0].size:
+        return (_dft_matrix(m) @ frames.reshape(m, -1)).reshape(frames.shape)
+    return np.fft.fft(frames, axis=0)
 
 
 def _transform_axis(lines: np.ndarray, grid: int, radius: int | None) -> np.ndarray:
@@ -328,8 +353,11 @@ class Trajectory:
         if self.frames.shape != (self.times.size,) + self.lattice.shape + (self.d0,):
             raise ValueError("frame array shape does not match times/lattice")
         if self.times.size > 1:
+            # times dt*k are each rounded, so a step may be off by ~2 ulps
+            # of the largest time; allow that, and nothing more
             steps = np.diff(self.times)
-            if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
+            tol = 4.0 * np.spacing(np.abs(self.times).max())
+            if np.abs(steps - steps[0]).max() > tol:
                 raise ValueError("time grid must be uniform")
 
     @property

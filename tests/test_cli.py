@@ -150,6 +150,16 @@ def test_solve_d3_bundled_cubic(tmp_path):
     assert rep["relative_defect"] <= 1e-6
 
 
+def test_solve_long_non_dyadic_grid(tmp_path):
+    # 0.05 * k rounds differently near t = 1,000 than near 0: the 20,481
+    # frame times are uniform up to rounding, which the trajectory accepts
+    out = str(tmp_path / "sd")
+    code = main(["solve", "--out", out, "--lattice-radius", "1",
+                 "--dt", "0.05", "--horizon", "1024"])
+    assert code == EXIT_OK
+    assert _read_report(out)["converged"] is True
+
+
 def test_solve_free_flow_defect(tmp_path):
     out = str(tmp_path / "sf")
     code = main([

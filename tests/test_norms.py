@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import block_norm, derivative_monomial, modulation_block, modulation_norm, plane_wave
 
+from spintorus import norms as norms_mod
 from spintorus.clifford import build_gamma
 from spintorus.dyadic import (
     annulus_profile,
@@ -358,16 +360,29 @@ def test_solution_norm_runs_one_time_fft(monkeypatch):
     lat = FrequencyLattice(2, 6)
     tr = standard_probe_set(lat, 2, 1, 8, 0.13, seed=4)[0]
     calls = []
-    fft = np.fft.fft
-
-    def counting_fft(*args, **kwargs):
-        calls.append(1)
-        return fft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    transform = norms_mod.time_transform
+    monkeypatch.setattr(norms_mod, "time_transform",
+                        lambda frames: calls.append(1) or transform(frames))
     rep = solution_norm(tr, 1.0, +1)
     assert len(rep.breakdown) > 1
     assert len(calls) == 1
+
+
+def test_solution_norm_memory_stays_pinned():
+    # tracemalloc counts every numpy buffer.  Over the trajectory's bytes the
+    # monitor peaks at its time transform (1) and that transform's density
+    # (1 / (2 d0) = 0.125 at d0 = 4); the lattice tables are small.  An
+    # np.abs temporary of the transform adds 0.5, a second trajectory 1.
+    g = build_gamma(3)
+    tr = standard_probe_set(FrequencyLattice(3, 4), g.d0, 1, 33, 1.0 / 32.0, seed=3)[0]
+    solution_norm(tr, 1.5, +1)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        solution_norm(tr, 1.5, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / tr.frames.nbytes <= 1.35
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +467,6 @@ def test_probe_scaling_invariance():
 
 
 def test_bernstein_without_random_fields_draws_none(monkeypatch):
-    import spintorus.norms as norms_mod
-
     calls = []
     draw = norms_mod.random_field
     monkeypatch.setattr(norms_mod, "random_field",

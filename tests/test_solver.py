@@ -364,9 +364,10 @@ def _map_peak(monkeypatch, monitor):
 
 
 def test_duhamel_map_memory_stays_pinned(monkeypatch):
-    # The solution-norm monitor after the map peaks at 3.78 here, with -i S
-    # and U(dt) released; keeping -i S alive raises it to 3.90.  The
-    # two-branch map with a stored free flow peaked at 4.99.
+    # The solution-norm monitor after the map peaks at 3.28 here, with -i S
+    # and U(dt) released; keeping -i S alive raises it to 3.40.  The
+    # monitor's FFT with an np.abs density peaked at 3.78, and the
+    # two-branch map with a stored free flow at 4.99.
     assert _map_peak(monkeypatch, True) <= 3.85
 
 

@@ -226,12 +226,28 @@ def test_padded_grid_is_component_major(rng, batch, box, grid):
 
 def test_transform_matrices_are_cached_and_read_only():
     for build, args in ((spectral._synthesis_matrix, (5, 12)),
-                        (spectral._analysis_matrix, (12, 2))):
+                        (spectral._analysis_matrix, (12, 2)),
+                        (spectral._dft_matrix, (9,))):
         mat = build(*args)
         assert build(*args) is mat
         assert not mat.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("shape, dense", [
+    ((33, 9, 9, 4), True),     # wide frames: 324 values per frame
+    ((257, 9, 9, 4), True),    # the longest dense axis
+    ((257, 65, 2), False),     # the desk monitor: the matrix would outgrow 130 values
+    ((258, 9, 9, 4), False),   # above DENSE_MAX_GRID
+])
+def test_time_transform_rule(rng, shape, dense):
+    m = shape[0]
+    frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    by_matrix = (spectral._dft_matrix(m) @ frames.reshape(m, -1)).reshape(shape)
+    by_fft = np.fft.fft(frames, axis=0)
+    assert np.abs(by_matrix - by_fft).max() <= 1e-13 * np.abs(by_fft).max()
+    assert np.array_equal(spectral.time_transform(frames), by_matrix if dense else by_fft)
 
 
 @pytest.mark.parametrize("mats_shape, x_shape", [
@@ -264,15 +280,15 @@ def test_apply_constant_is_bit_identical_to_nd_product(rng, d):
             assert out.strides == x.strides
 
 
-def test_spatial_ffts_only_in_spectral():
-    # the lattice <-> grid placement and the FFT backend live in one module;
-    # elsewhere an FFT runs along the frame (time) axis only
+def test_numpy_ffts_only_in_spectral():
+    # every transform, spatial or along the frames, is chosen in one module;
+    # fftfreq is a frequency table, not a transform
     src = pathlib.Path(spintorus.__file__).parent
     offenders = [
         f"{path.name}: {line.strip()}"
         for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
         for line in path.read_text().splitlines()
-        if re.search(r"fftn?\(", line) and "axis=0)" not in line
+        if re.search(r"\bi?r?fft[2n]?\(", line)
     ]
     assert offenders == []
 
@@ -400,3 +416,11 @@ def test_trajectory_validation(rng):
     assert tr.dt == pytest.approx(0.1)
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(lat, 2, np.array([0.0, 0.1, 0.35, 0.4]), frames)
+    # near t = 1,000 the steps of 0.05 * k differ by about 2e-13, more than
+    # 1e-12 of the step; a time moved by 1e-9 is no rounding
+    times = 0.05 * np.arange(20_481)
+    frames = np.zeros((times.size,) + lat.shape + (2,), complex)
+    assert Trajectory(lat, 2, times, frames).n_frames == 20_481
+    times[10_000] += 1e-9
+    with pytest.raises(ValueError, match="uniform"):
+        Trajectory(lat, 2, times, frames)
