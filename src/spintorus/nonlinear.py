@@ -109,6 +109,15 @@ def load_nonlinearity_file(path: str) -> PowerSeriesNonlinearity:
         return load_nonlinearity(json.load(fh))
 
 
+def left_multiply(mat: np.ndarray, F: PowerSeriesNonlinearity) -> PowerSeriesNonlinearity:
+    """The series M F, coefficients M c_p, so that one evaluation gives
+    M F(psi) with no pass over the result.  For a diagonal M with entries
+    +-1 or +-i (beta, i beta) the support does not grow, and the value equals
+    M applied to F's value exactly: each coefficient only changes sign or
+    swaps its real and imaginary parts."""
+    return PowerSeriesNonlinearity(F.d0, {p: mat @ c for p, c in F.terms.items()})
+
+
 # bundled families used by the command-line scenarios and the audit tests
 
 

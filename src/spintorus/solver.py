@@ -12,9 +12,12 @@ reported Duhamel residual.  Cross-checks: a fourth-order exponential
 Runge-Kutta stepper on psi and the reference flows ``split`` /
 ``half_wave``, which keep the projector form U(t) = p Pi_+ + conj(p)
 (1 - Pi_+), p = e^{-i t <xi>}, so that they check the closed form rather
-than share it; and the second-order (Klein-Gordon type) evolution.  The
-mass is normalised to 1 in the Picard and RK4 solvers; the second-order
-route and the residual take a general mass m.
+than share it; and the second-order (Klein-Gordon type) evolution.  Every
+route evaluates beta F or i beta F as one series with the matrix in its
+coefficients; the RK4 and second-order routes raise FloatingPointError at
+their first non-finite frame.  The mass is normalised to 1 in the Picard
+and RK4 solvers; the second-order route and the residual take a general
+mass m.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .nonlinear import (
     evaluate,
     evaluate_coefficients,
     jacobian_product,
+    left_multiply,
     padded_grid_size,
 )
 from .norms import frame_norms, sobolev_norm, solution_norm
@@ -216,6 +220,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     if data_norm > cfg.epsilon * (1.0 + 1e-9):
         raise ValueError(f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}")
     F = cfg.nonlinearity if cfg.nonlinearity is not None else PowerSeriesNonlinearity(g.d0, {})
+    f = left_multiply(1j * g.beta, F)  # the integrand i beta F in one evaluation
     times = cfg.dt * np.arange(cfg.n_frames)
     isym, lam = _dirac_generator(g, lattice, 1.0)
     step = np.sin(cfg.dt * lam)[..., None, None] * isym  # U(dt)
@@ -227,8 +232,7 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
     diagnostics: dict = {"distances": distances, "ratios": ratios}
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        f = apply_constant(1j * g.beta, evaluate_coefficients(F, psi, lattice))
-        new = _duhamel_map(f, step, cfg.dt, psi0.coeffs)
+        new = _duhamel_map(evaluate_coefficients(f, psi, lattice), step, cfg.dt, psi0.coeffs)
         denom = max(frame_norms(psi).max(), 1e-300)  # psi then takes the difference
         diff = frame_norms(np.subtract(psi, new, out=psi))
         dist = float(diff.max() / denom)
@@ -282,41 +286,59 @@ def evolve_dirac_rk4(
     dt: float,
     horizon: float,
 ) -> Trajectory:
-    """Fourth-order exponential (Lawson) Runge-Kutta stepper on psi.
+    """Fourth-order exponential (Lawson) Runge-Kutta stepper on psi, in the
+    half-step frame.
 
     The free flow U(tau) = e^{-i tau <xi>} Pi_+ + e^{+i tau <xi>} Pi_- is
-    exact, built once for tau = dt/2 and dt; a stage is k = i U(-tau) beta
-    F(U(tau) w), with w psi relative to the step start, and a step ends with
-    psi <- U(dt)(w + dt/6 (k1 + 2 k2 + 2 k3 + k4)).
+    exact, built once for tau = h = dt/2.  Lawson's step
+    psi <- U(dt)(psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)), with stages
+    k = U(-tau) f(U(tau) w) and f = i beta F (one series), has each stage
+    taken to the step's midpoint, where U(h) U(-h) cancels: with z = U(h) psi
+    and K1 = U(h) f(psi), g2 = f(z + h K1), g3 = f(z + h g2),
+    g4 = f(U(h)(z + dt g3)) and psi <- U(h)(z + dt/6 (K1 + 2 g2 + 2 g3))
+    + dt/6 g4.  That is four U(h) applies per step, two without a
+    nonlinearity.  Raises FloatingPointError at the first non-finite frame.
     """
     lattice = psi0.lattice
     n_frames = frame_count(dt, horizon)
-    times = dt * np.arange(n_frames)
     frames = np.empty((n_frames,) + lattice.shape + (g.d0,), dtype=np.complex128)
     frames[0] = psi0.coeffs
+    h = 0.5 * dt
     pp = projector_symbol(g, lattice.xi, +1)
-    phases = [np.exp(-1j * tau * lattice.bracket)[..., None, None]
-              for tau in (0.5 * dt, dt)]
-    half, full = (p * pp + np.conj(p) * (np.eye(g.d0) - pp) for p in phases)
-    # i U(-tau) beta for tau = 0, dt/2, dt; U(-tau) is U(tau)^H
-    back0, back_half, back_full = (1j * np.conj(np.swapaxes(u, -1, -2)) @ g.beta
-                                   for u in (np.eye(g.d0), half, full))
-
-    def stage(u, back, v):
-        fv = evaluate_coefficients(F, apply_matrices(u, v), lattice)
-        return apply_matrices(back, fv)
-
+    p = np.exp(-1j * h * lattice.bracket)[..., None, None]
+    half = p * pp + np.conj(p) * (np.eye(g.d0) - pp)  # U(dt/2)
+    kicked = F is not None and not F.is_zero()
+    if kicked:
+        f = left_multiply(1j * g.beta, F)
     w = psi0.coeffs
     for k in range(1, n_frames):
-        if F is not None and not F.is_zero():
-            k1 = apply_matrices(back0, evaluate_coefficients(F, w, lattice))
-            k2 = stage(half, back_half, w + 0.5 * dt * k1)
-            k3 = stage(half, back_half, w + 0.5 * dt * k2)
-            k4 = stage(full, back_full, w + dt * k3)
-            w = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        w = apply_matrices(full, w)
+        if kicked:
+            z = apply_matrices(half, w)
+            acc = apply_matrices(half, evaluate_coefficients(f, w, lattice))  # K1
+            g2 = evaluate_coefficients(f, z + h * acc, lattice)
+            g3 = evaluate_coefficients(f, z + h * g2, lattice)
+            g4 = evaluate_coefficients(f, apply_matrices(half, z + dt * g3), lattice)
+            acc += 2.0 * (g2 + g3)
+            z += (dt / 6.0) * acc
+            w = apply_matrices(half, z)
+            w += (dt / 6.0) * g4
+        else:
+            w = apply_matrices(half, apply_matrices(half, w))
         frames[k] = w
-    return Trajectory(lattice, g.d0, times, frames)
+    return _finite(Trajectory(lattice, g.d0, dt * np.arange(n_frames), frames))
+
+
+def _finite(tr: Trajectory) -> Trajectory:
+    """``tr``, or FloatingPointError with the time of its first frame that
+    holds a NaN or an inf.  Under the routes' steps such a value never turns
+    finite again, so the finished frames are checked once, at no cost per
+    step."""
+    bad = ~np.isfinite(tr.frames.reshape(tr.n_frames, -1)).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FloatingPointError(f"non-finite frame at t = {tr.times[k]:.6g} "
+                                 f"(frame {k} of {tr.n_frames})")
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +356,7 @@ def second_order_data(
     """
     v = apply_matrices(g.dirac_symbol(psi0.lattice.xi, mass), psi0.coeffs)
     if F is not None and not F.is_zero():
-        v -= apply_constant(g.beta, evaluate_coefficients(F, psi0.coeffs, psi0.lattice))
+        v -= evaluate_coefficients(left_multiply(g.beta, F), psi0.coeffs, psi0.lattice)
     v *= -1j
     return SecondOrderState(u=psi0.copy(), v=SpinorField(psi0.lattice, g.d0, v))
 
@@ -395,6 +417,7 @@ def evolve_klein_gordon(
     Symmetric splitting: exact half rotations of the linear flow around a
     midpoint kick by the source (H_m and its padded grid built once); second
     order in dt, exact (and exactly energy-preserving) when it vanishes.
+    Raises FloatingPointError at the first non-finite frame.
     """
     n_frames = frame_count(dt, horizon)
     lattice = state.u.lattice
@@ -421,7 +444,7 @@ def evolve_klein_gordon(
             v = v + dt * _second_order_rhs(u, F, g, lattice, mass, h, grid)
         u, v = half_rotate(u, v)
         frames[k] = u
-    return Trajectory(lattice, state.u.d0, times, frames)
+    return _finite(Trajectory(lattice, state.u.d0, times, frames))
 
 
 def kg_energy(state_u: np.ndarray, state_v: np.ndarray,
@@ -459,7 +482,7 @@ def dirac_residual(
     del w
     res *= 0.5j / tr.dt
     if F is not None and not F.is_zero():
-        kick = apply_constant(g.beta, evaluate_coefficients(F, tr.frames[1:-1], tr.lattice))
+        kick = evaluate_coefficients(left_multiply(g.beta, F), tr.frames[1:-1], tr.lattice)
         isym, cos_t, sin_t = tables
         res += _free_propagate(kick, isym, cos_t[1:-1], sin_t[1:-1], -1)
     return tr.times[1:-1], frame_norms(res) ** 2

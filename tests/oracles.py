@@ -4,8 +4,9 @@ Each one computes its quantity straight from the definition, in the form
 the package's batched or collapsed code replaced: a single-mode field, a
 derivative as a lattice multiplier, a modulation cutoff by its own time
 transform, the modulation seminorm and a scale block, dense cap weight
-tables, F(u1) - F(u2) by the integral-remainder expansion, and the Duhamel
-map by its closed-form propagator at every frame time.  No command or
+tables, F(u1) - F(u2) by the integral-remainder expansion, the Duhamel
+map by its closed-form propagator at every frame time, and the Lawson RK4
+step with every stage propagated back to the step start.  No command or
 benchmark calls them.
 """
 
@@ -20,8 +21,15 @@ from spintorus.nonlinear import (
     multinomial_split,
 )
 from spintorus.norms import NormReport, _modulation_densities, frame_norms
-from spintorus.solver import _free_propagate, _propagator_tables
-from spintorus.spectral import FrequencyLattice, SpinorField, Trajectory, apply_constant
+from spintorus.solver import _free_propagate, _propagator_tables, frame_count
+from spintorus.spectral import (
+    FrequencyLattice,
+    SpinorField,
+    Trajectory,
+    apply_constant,
+    apply_matrices,
+    projector_symbol,
+)
 
 
 def plane_wave(lattice: FrequencyLattice, d0: int, xi, spinor) -> SpinorField:
@@ -148,3 +156,31 @@ def closed_form_duhamel_map(F: PowerSeriesNonlinearity, g: GammaSet, lattice: Fr
     acc[1:] = np.cumsum((w[1:] + w[:-1]) * (0.5 * dt), axis=0)
     acc += psi0
     return _free_propagate(acc, *tables, +1)
+
+
+def lawson_rk4_frames(psi0: SpinorField, F: PowerSeriesNonlinearity, g: GammaSet,
+                      dt: float, horizon: float) -> np.ndarray:
+    """Frames of the Lawson RK4 scheme with each stage taken back to the step
+    start: k = i U(-tau) beta F(U(tau) w) for tau = 0, dt/2, dt/2, dt, then
+    psi <- U(dt)(psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)), eight matrix applies
+    per step from the tables U(dt/2), U(dt) and i U(-tau) beta."""
+    lattice = psi0.lattice
+    pp = projector_symbol(g, lattice.xi, +1)
+    half, full = (p * pp + np.conj(p) * (np.eye(g.d0) - pp)
+                  for p in (np.exp(-1j * tau * lattice.bracket)[..., None, None]
+                            for tau in (0.5 * dt, dt)))
+    back0, back_half, back_full = (1j * np.conj(np.swapaxes(u, -1, -2)) @ g.beta
+                                   for u in (np.eye(g.d0), half, full))
+
+    def stage(u, back, v):
+        return apply_matrices(back, evaluate_coefficients(F, apply_matrices(u, v), lattice))
+
+    frames = [psi0.coeffs]
+    for _ in range(frame_count(dt, horizon) - 1):
+        w = frames[-1]
+        k1 = apply_matrices(back0, evaluate_coefficients(F, w, lattice))
+        k2 = stage(half, back_half, w + 0.5 * dt * k1)
+        k3 = stage(half, back_half, w + 0.5 * dt * k2)
+        k4 = stage(full, back_full, w + dt * k3)
+        frames.append(apply_matrices(full, w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return np.stack(frames)

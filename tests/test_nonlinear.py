@@ -24,12 +24,19 @@ from spintorus.nonlinear import (
     growth_audit,
     growth_threshold,
     jacobian_product,
+    left_multiply,
     load_nonlinearity,
     matrix_weights,
     multinomial_split,
     load_nonlinearity_file,
 )
-from spintorus.spectral import FrequencyLattice, SpinorField, apply_matrices, random_field
+from spintorus.spectral import (
+    FrequencyLattice,
+    SpinorField,
+    apply_constant,
+    apply_matrices,
+    random_field,
+)
 
 
 @pytest.fixture
@@ -288,6 +295,26 @@ def test_chunked_evaluation_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * coeffs.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_left_multiplied_series_is_the_applied_value(rng, d):
+    # beta is diagonal with entries +-1, so folding beta or i beta into the
+    # coefficients only flips signs or swaps real and imaginary parts: the
+    # folded series gives M F(psi) to the bit, with F's support
+    g = build_gamma(d)
+    lat = FrequencyLattice(d, 3)
+    coeffs = _random_batch(rng, (2,), lat, g.d0)
+
+    def support(F):
+        return [(factors, [a for a, _, _ in pairs]) for factors, pairs in F._support]
+
+    for F in (bundled_cubic(g.d0), bundled_geometric(g.d0, ratio=0.5, degree=4)):
+        for mat in (g.beta, 1j * g.beta):
+            folded = left_multiply(mat, F)
+            assert support(folded) == support(F)
+            assert np.array_equal(evaluate_coefficients(folded, coeffs, lat),
+                                  apply_constant(mat, evaluate_coefficients(F, coeffs, lat)))
 
 
 # ---------------------------------------------------------------------------

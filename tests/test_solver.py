@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import closed_form_duhamel_map, plane_wave
+from oracles import closed_form_duhamel_map, lawson_rk4_frames, plane_wave
 from test_nonlinear import naive_jacobian
 
 from spintorus import nonlinear as nl
@@ -212,22 +212,35 @@ def test_cubic_solve_contracts_and_matches_oracle():
     assert _sup_dist(res.trajectory, oracle) <= 1e-6
 
 
-def test_solve_matches_benchmark_fingerprints(monkeypatch):
-    # perfbench pins D = trajectory - free flow to 1e-6 of |D| on each input
-    # set; its workload module is imported read-only, with no bytecode
-    # cache.  Sets 15 and 23 drift most (1.6e-7 of |D|), 6 and 28 are where
-    # cli_desk once sat at the tolerance.
+def _check_benchmark_sets(monkeypatch, name, seeds):
+    """Run perfbench workload ``name`` on the input sets ``seeds`` against its
+    reference fingerprints; the workload module is imported read-only, with
+    no bytecode cache."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    ref = workloads.load_reference("picard_d3")["inputs"]
-    for seed in (6, 15, 23, 28):
-        out = workloads.run_op(workloads.build("picard_d3", seed))
-        fp = workloads.library_fingerprint("picard_d3", out)
+    ref = workloads.load_reference(name)["inputs"]
+    for seed in seeds:
+        out = workloads.run_op(workloads.build(name, seed))
+        fp = workloads.library_fingerprint(name, out)
         assert workloads.compare(fp, ref[str(seed)]) == []
-        assert workloads.library_checks("picard_d3", out) == []
+        assert workloads.library_checks(name, out) == []
+
+
+def test_solve_matches_benchmark_fingerprints(monkeypatch):
+    # perfbench pins D = trajectory - free flow to 1e-6 of |D| on each input
+    # set.  Sets 15 and 23 drift most (1.6e-7 of |D|), 6 and 28 are where
+    # cli_desk once sat at the tolerance.
+    _check_benchmark_sets(monkeypatch, "picard_d3", (6, 15, 23, 28))
+
+
+def test_rk4_matches_benchmark_fingerprints(monkeypatch):
+    # The half-step frame moves D by rounding only, but over 2,000 steps:
+    # of the 32 rk4_long_d1 sets, 14 drifts most (2.7e-7 of |D|), then 4
+    # (1.4e-7), against the 1e-6 tolerance.
+    _check_benchmark_sets(monkeypatch, "rk4_long_d1", (14, 4))
 
 
 def _map_case():
@@ -365,18 +378,19 @@ def _map_peak(monkeypatch, monitor):
 
 def test_duhamel_map_memory_stays_pinned(monkeypatch):
     # The solution-norm monitor after the map peaks at 3.28 here, with -i S
-    # and U(dt) released; keeping -i S alive raises it to 3.40.  The
-    # monitor's FFT with an np.abs density peaked at 3.78, and the
-    # two-branch map with a stored free flow at 4.99.
-    assert _map_peak(monkeypatch, True) <= 3.85
+    # and U(dt) released; keeping -i S alive raises it to 3.40, which the
+    # bound catches.  The monitor's FFT with an np.abs density peaked at
+    # 3.78, and the two-branch map with a stored free flow at 4.99.
+    assert _map_peak(monkeypatch, True) <= 3.35
 
 
 def test_duhamel_map_memory_without_monitor(monkeypatch):
-    # The map holds the iterate and its image w beside F^ while i beta F^ is
-    # formed, then steps w frame by frame: 3.25 with -i S and U(dt).  The
+    # The map holds the iterate and i beta F^, one evaluation of the folded
+    # series, then steps it frame by frame with -i S and U(dt) alive: 3.13.
+    # Forming F^ and then i beta F^ beside it peaked at 3.25, the
     # closed-form map, with its time tables and its trajectory-sized
-    # propagator temporary, peaked at 3.46.
-    assert _map_peak(monkeypatch, False) <= 3.35
+    # propagator temporary, at 3.46.
+    assert _map_peak(monkeypatch, False) <= 3.2
 
 
 def test_klein_gordon_memory_stays_pinned():
@@ -540,6 +554,59 @@ def test_rk4_builds_its_propagators_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_rk4_matches_the_eight_apply_lawson_step():
+    # The half-step frame reorders Lawson's step, so only rounding separates
+    # it from the stages taken back to the step start; the bound is on the
+    # nonlinear part D = psi - free flow, which the data make felt.
+    g = build_gamma(2)
+    lat = FrequencyLattice(2, 5)
+    F = bundled_cubic(g.d0)
+    psi0 = gaussian_data(lat, g.d0, 0.1, 1.0, seed=5)
+    got = evolve_dirac_rk4(psi0, F, g, 1.0 / 16.0, 1.0).frames
+    ref = lawson_rk4_frames(psi0, F, g, 1.0 / 16.0, 1.0)
+    nonlinear_part = np.abs(ref - evolve_dirac_rk4(psi0, None, g, 1.0 / 16.0, 1.0).frames).max()
+    assert nonlinear_part >= 1e-5 * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-10 * nonlinear_part
+
+
+def test_rk4_steps_with_one_table_and_four_applies(monkeypatch):
+    # one U(dt/2) table, applied four times per nonlinear step and twice per
+    # free step, and one folded series i beta F evaluated four times per step
+    applied, series, projectors = [], [], []
+    apply_matrices = solver.apply_matrices
+    monkeypatch.setattr(solver, "apply_matrices",
+                        lambda mat, x: applied.append(mat) or apply_matrices(mat, x))
+    evaluate_series = solver.evaluate_coefficients
+    monkeypatch.setattr(solver, "evaluate_coefficients",
+                        lambda F, c, lat: series.append(F) or evaluate_series(F, c, lat))
+    projector = solver.projector_symbol
+    monkeypatch.setattr(solver, "projector_symbol",
+                        lambda *args: projectors.append(1) or projector(*args))
+    F = bundled_cubic(2)
+    psi0 = gaussian_data(FrequencyLattice(1, 4), 2, 1e-3, 0.5, seed=2)
+    n_steps = 5
+    evolve_dirac_rk4(psi0, F, G1, 0.1, 0.1 * n_steps)
+    assert projectors == [1]
+    assert len(applied) == 4 * n_steps and all(m is applied[0] for m in applied)
+    assert len(series) == 4 * n_steps and all(f is series[0] for f in series)
+    assert all(np.array_equal(series[0].terms[p], 1j * G1.beta @ c) for p, c in F.terms.items())
+    applied.clear()
+    evolve_dirac_rk4(psi0, None, G1, 0.1, 0.1 * n_steps)
+    assert len(applied) == 2 * n_steps
+
+
+def _overflowing_data():
+    """Data large enough that the cubic overflows within T = 20 at dt = 0.05."""
+    return gaussian_data(FrequencyLattice(1, 8), 2, 1.0, 0.5, seed=3), bundled_cubic(2)
+
+
+def test_rk4_raises_at_the_first_non_finite_frame():
+    psi0, F = _overflowing_data()
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"at t = 6 \(frame 120 of 401\)"):
+        evolve_dirac_rk4(psi0, F, G1, 0.05, 20.0)
+
+
 # ---------------------------------------------------------------------------
 # second-order route
 
@@ -608,6 +675,14 @@ def test_klein_gordon_step_guard():
     state = second_order_data(psi0, None, G1, 1.0)
     with pytest.raises(ValueError, match="too large"):
         evolve_klein_gordon(state, None, G1, 1.0, 0.5, 1.0)
+
+
+def test_klein_gordon_raises_at_the_first_non_finite_frame():
+    psi0, F = _overflowing_data()
+    state = second_order_data(psi0, F, G1, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"at t = 4.8 \(frame 96 of 401\)"):
+        evolve_klein_gordon(state, F, G1, 1.0, 0.05, 20.0)
 
 
 def test_routes_agree_on_cubic(rng):
