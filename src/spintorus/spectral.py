@@ -17,7 +17,9 @@ Conventions (used consistently across the package):
   to the other end of the array, so the array stays C-contiguous and each
   step is one matrix product per batch item.  ``to_grid`` contracts the
   leading box axis and appends the grid axis; ``from_grid`` contracts the
-  trailing grid axis and prepends the lattice axis.  An axis of at most
+  trailing grid axis and prepends the lattice axis.  A single axis needs no
+  rotation: at d = 1 on the dense kernel each way is that same one product
+  on the same component-major view.  An axis of at most
   ``DENSE_MAX_GRID`` grid points is a product with a cached dense DFT
   matrix, so no zero padding is stored or transformed and no row that is
   thrown away is computed.  A longer axis is padded and inverse-transformed
@@ -248,10 +250,13 @@ def to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
     and rotates it to the end, so after d steps the memory is
     (batch, d0, grid, ..., grid): the padded grid is component-major.  The
     result is a transposed view of it with shape batch + (grid,)*d + (d0,).
+    A single dense axis (d = 1) is that one step's product, unrotated.
     """
     box = coeffs.shape[-d - 1 : -1]
     if max(box) > grid:
         raise ValueError(f"grid with {grid} points per axis aliases a {box} box")
+    if d == 1 and grid <= DENSE_MAX_GRID:
+        return (coeffs.mT @ _synthesis_matrix(box[0], grid)).mT
     batch, d0 = coeffs.shape[: -d - 1], coeffs.shape[-1]
     b = math.prod(batch)
     values = coeffs
@@ -269,12 +274,15 @@ def from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
     the output of ``to_grid`` costs no copy.  Each step transforms the
     trailing grid axis, cuts it to the lattice rows and rotates it to the
     front, so later steps run only over lattice lines; the result is
-    C-contiguous.
+    C-contiguous.  A single dense axis (d = 1) is that one step's product,
+    unrotated.
     """
     grid = values.shape[-2]
     if grid < 2 * radius + 1:
         raise ValueError(f"grid with {grid} points per axis aliases "
                          f"a radius-{radius} lattice")
+    if d == 1 and grid <= DENSE_MAX_GRID:
+        return _analysis_matrix(grid, radius) @ values
     batch, d0 = values.shape[: -d - 1], values.shape[-1]
     b = math.prod(batch)
     coeffs = values.reshape(b, -1, d0).mT

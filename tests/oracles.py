@@ -5,10 +5,13 @@ the package's batched or collapsed code replaced: a single-mode field, a
 derivative as a lattice multiplier, a modulation cutoff by its own time
 transform, the modulation seminorm and a scale block, dense cap weight
 tables, F(u1) - F(u2) by the integral-remainder expansion, the Duhamel
-map by its closed-form propagator at every frame time, and the Lawson RK4
-step with every stage propagated back to the step start.  No command or
+map by its closed-form propagator at every frame time, the Lawson RK4
+step with every stage propagated back to the step start, and the grid
+transforms by the axis rotation at every d, d = 1 included.  No command or
 benchmark calls them.
 """
+
+import math
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from spintorus.spectral import (
     FrequencyLattice,
     SpinorField,
     Trajectory,
+    _transform_axis,
     apply_constant,
     apply_matrices,
     projector_symbol,
@@ -184,3 +188,27 @@ def lawson_rk4_frames(psi0: SpinorField, F: PowerSeriesNonlinearity, g: GammaSet
         k4 = stage(full, back_full, w + dt * k3)
         frames.append(apply_matrices(full, w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
     return np.stack(frames)
+
+
+def rotated_to_grid(coeffs: np.ndarray, d: int, grid: int) -> np.ndarray:
+    """``to_grid`` by the axis rotation: each box axis through
+    ``_transform_axis`` between the d >= 2 loop's reshapes, at every d."""
+    box = coeffs.shape[-d - 1 : -1]
+    batch, d0 = coeffs.shape[: -d - 1], coeffs.shape[-1]
+    b = math.prod(batch)
+    values = coeffs
+    for n in box:
+        values = _transform_axis(values.reshape(b, n, -1), grid, None)
+    return values.reshape(b, d0, -1).mT.reshape(batch + (grid,) * d + (d0,))
+
+
+def rotated_from_grid(values: np.ndarray, d: int, radius: int) -> np.ndarray:
+    """``from_grid`` by the axis rotation: each grid axis through
+    ``_transform_axis`` between the d >= 2 loop's reshapes, at every d."""
+    grid = values.shape[-2]
+    batch, d0 = values.shape[: -d - 1], values.shape[-1]
+    b = math.prod(batch)
+    coeffs = values.reshape(b, -1, d0).mT
+    for _ in range(d):
+        coeffs = _transform_axis(coeffs.reshape(b, -1, grid), grid, radius)
+    return coeffs.reshape(batch + (2 * radius + 1,) * d + (d0,))

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import closed_form_duhamel_map, lawson_rk4_frames, plane_wave
+from oracles import (
+    closed_form_duhamel_map,
+    lawson_rk4_frames,
+    plane_wave,
+    rotated_from_grid,
+    rotated_to_grid,
+)
 from test_nonlinear import naive_jacobian
 
 from spintorus import nonlinear as nl
@@ -593,6 +599,26 @@ def test_rk4_steps_with_one_table_and_four_applies(monkeypatch):
     applied.clear()
     evolve_dirac_rk4(psi0, None, G1, 0.1, 0.1 * n_steps)
     assert len(applied) == 2 * n_steps
+
+
+def test_one_axis_routes_match_the_rotated_transforms(monkeypatch):
+    # the d = 1 transforms make the rotation step's products without its
+    # reshapes, so the RK4 and Picard frames come out bit for bit the same
+    F = bundled_cubic(2)
+    psi0 = gaussian_data(FrequencyLattice(1, 8), 2, 0.1, 0.5, seed=4)
+    cfg = SolveConfig(d=1, radius=8, dt=0.05, horizon=1.0, epsilon=0.1,
+                      nonlinearity=F, monitor_solution_norm=False)
+
+    def frames():
+        return (evolve_dirac_rk4(psi0, F, G1, 0.05, 1.0).frames,
+                picard_solve(cfg, psi0).trajectory.frames)
+
+    rk4, picard = frames()
+    monkeypatch.setattr(nl, "to_grid", rotated_to_grid)
+    monkeypatch.setattr(nl, "from_grid", rotated_from_grid)
+    rk4_ref, picard_ref = frames()
+    assert rk4.shape == (21, 17, 2) and np.array_equal(rk4, rk4_ref)
+    assert np.array_equal(picard, picard_ref)
 
 
 def _overflowing_data():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spintorus
-from oracles import derivative_monomial, plane_wave
+from oracles import derivative_monomial, plane_wave, rotated_from_grid, rotated_to_grid
 from spintorus import spectral
 from spintorus.clifford import build_gamma
 from spintorus.spectral import (
@@ -222,6 +222,43 @@ def test_padded_grid_is_component_major(rng, batch, box, grid):
     coeffs = from_grid(values, d, radius)
     assert coeffs.flags.c_contiguous
     assert np.array_equal(coeffs, from_grid(np.ascontiguousarray(values), d, radius))
+
+
+@pytest.mark.parametrize("batch, radius, grid", [
+    ((), 16, 65), ((257,), 16, 65), ((257,), 32, 129), ((2, 3), 4, 17),
+    ((), 64, spectral.DENSE_MAX_GRID), ((3,), 64, spectral.DENSE_MAX_GRID)])
+def test_one_axis_transforms_are_the_rotation_step(rng, batch, radius, grid):
+    # at d = 1 the dense transforms skip the rotation's reshapes but make its
+    # products on the same operands, so every number is the same
+    shape = batch + (2 * radius + 1, 2)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = to_grid(coeffs, 1, grid)
+    assert np.array_equal(values, rotated_to_grid(coeffs, 1, grid))
+    for grid_values in (values, np.ascontiguousarray(values)):
+        assert np.array_equal(from_grid(grid_values, 1, radius),
+                              rotated_from_grid(grid_values, 1, radius))
+
+
+@pytest.mark.parametrize("d, radius, dense, steps", [
+    (1, 16, True, 0), (3, 4, True, 3), (1, 16, False, 1)])
+def test_transform_axis_steps_per_transform(rng, monkeypatch, d, radius, dense, steps):
+    # a dense single axis needs no rotation step, each axis of a d = 3 frame
+    # one; with DENSE_MAX_GRID below the grid a single axis is one FFT step
+    grid = 4 * radius + 1
+    if not dense:
+        monkeypatch.setattr(spectral, "DENSE_MAX_GRID", grid - 1)
+    calls = []
+    transform_axis = spectral._transform_axis
+    monkeypatch.setattr(spectral, "_transform_axis",
+                        lambda *args: calls.append(args[1]) or transform_axis(*args))
+    shape = (2 * radius + 1,) * d + (2,)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = to_grid(coeffs, d, grid)
+    assert calls == [grid] * steps
+    calls.clear()
+    back = from_grid(values, d, radius)
+    assert calls == [grid] * steps
+    assert np.abs(back - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
 
 
 def test_transform_matrices_are_cached_and_read_only():
