@@ -9,8 +9,9 @@ resolved configuration and runs are byte-deterministic for a fixed seed.
 Each command is a setup, which does everything that can refuse the input,
 and a run; ``main`` maps a refusal to exit 64 before anything is written.
 
-Exit codes: 0 success, 1 invariant failure, 2 solver non-convergence,
-3 audit fail (an analytical outcome, not a tool error), 64 usage.
+Exit codes: 0 success, 1 invariant failure, 2 solver non-convergence or a
+non-finite frame, 3 audit fail (an analytical outcome, not a tool error),
+64 usage.
 """
 
 from __future__ import annotations
@@ -555,6 +556,12 @@ def main(argv=None) -> int:
         print(f"solver failed: {exc}")
         _write_report(cfg, {"command": args.command, "converged": False,
                             "diagnostics": exc.diagnostics, "passed": False})
+        return EXIT_SOLVER
+    except FloatingPointError as exc:
+        print(f"solver failed: {exc}")
+        _write_report(cfg, {"command": args.command, "error": str(exc),
+                            "non_finite_time": getattr(exc, "time", None),
+                            "passed": False})
         return EXIT_SOLVER
 
 

@@ -60,6 +60,16 @@ class PowerSeriesNonlinearity:
                 written.add(a)
             self._support.append(([(k, e) for k, e in enumerate(p) if e], pairs))
         self._unwritten = [a for a in range(self.d0) if a not in written]
+        # the diagonal power class, F_a = c_a psi_a^e with one e for all a:
+        # (e, c) when each component has one term, written to it alone
+        diagonal = {factors[0][0]: (factors[0][1], pairs[0][1])
+                    for factors, pairs in self._support
+                    if len(factors) == len(pairs) == 1 and factors[0][0] == pairs[0][0]}
+        exponents = {e for e, _ in diagonal.values()}
+        self._diagonal = None
+        if len(diagonal) == len(self._support) == self.d0 and len(exponents) == 1:
+            self._diagonal = (exponents.pop(),
+                              np.array([diagonal[a][1] for a in range(self.d0)]))
         self._top = max((e for factors, _ in self._support for _, e in factors),
                         default=0)
         self.max_degree = max((sum(p) for p in self.terms), default=0)
@@ -179,14 +189,23 @@ def _monomial(powers: list, factors, scale=None):
 def evaluate(F: PowerSeriesNonlinearity, psi) -> np.ndarray:
     """F at one or many spinor values; trailing axis is the component axis.
 
-    Each power of psi is formed once and every monomial is read from it;
-    a monomial is added only to the components where its coefficient is
-    nonzero.  The result has the memory layout of psi, so on a
-    component-major grid every power and monomial reads contiguous planes.
+    A diagonal series (F_a = c_a psi_a^e, as the bundled cubic and its
+    beta-folded forms) is c * psi^e on the whole array, built in place in the
+    output.  Otherwise each power of psi is formed once and every monomial
+    is read from it; a monomial is added only to the components where its
+    coefficient is nonzero.  The result has the memory layout of psi, so on
+    a component-major grid every power and monomial reads contiguous planes.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1] != F.d0:
         raise ValueError("value has the wrong number of spinor components")
+    if F._diagonal is not None:
+        e, c = F._diagonal
+        out = psi * psi if e > 1 else psi.copy(order="K")
+        for _ in range(e - 2):
+            out *= psi
+        out *= c
+        return out
     out = np.empty_like(psi)
     powers = _powers(psi, F._top)
     for factors, coeffs in F._support:

@@ -330,14 +330,16 @@ def evolve_dirac_rk4(
 
 def _finite(tr: Trajectory) -> Trajectory:
     """``tr``, or FloatingPointError with the time of its first frame that
-    holds a NaN or an inf.  Under the routes' steps such a value never turns
-    finite again, so the finished frames are checked once, at no cost per
-    step."""
+    holds a NaN or an inf, in its message and as its ``time``.  Under the
+    routes' steps such a value never turns finite again, so the finished
+    frames are checked once, at no cost per step."""
     bad = ~np.isfinite(tr.frames.reshape(tr.n_frames, -1)).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise FloatingPointError(f"non-finite frame at t = {tr.times[k]:.6g} "
+        err = FloatingPointError(f"non-finite frame at t = {tr.times[k]:.6g} "
                                  f"(frame {k} of {tr.n_frames})")
+        err.time = float(tr.times[k])
+        raise err
     return tr
 
 

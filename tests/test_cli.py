@@ -4,9 +4,10 @@ import os
 import tracemalloc
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from spintorus import cli
+from spintorus import cli, solver
 from spintorus.cli import (
     EXIT_AUDIT,
     EXIT_INVARIANT,
@@ -180,8 +181,6 @@ def test_solve_large_data_may_fail_with_diagnostics(tmp_path):
         "d": 1, "lattice_radius": 12, "dt": 0.05, "horizon": 1.0,
         "epsilon": 0.9, "nonlinearity": "cubic", "max_iterations": 12,
     }))
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["solve", "--config", str(cfg), "--out", out,
                      "--epsilon", "0.9"])
@@ -407,6 +406,25 @@ def test_iteration_budget_failure_writes_diagnostics(tmp_path, command):
     rep = _read_report(out)
     assert (rep["command"], rep["converged"], rep["passed"]) == (command, False, False)
     assert rep["diagnostics"]["iterations"] == 1
+
+
+def test_non_finite_frame_exits_2_with_its_time(tmp_path, monkeypatch):
+    # the second-order route raises at its first non-finite frame; the CLI
+    # turns that into a failure report, not a traceback
+    def blow_up(state, F, g, mass, dt, horizon):
+        tr = solver.evolve_klein_gordon(state, F, g, mass, dt, horizon)
+        tr.frames[3:] = np.nan
+        return solver._finite(tr)
+
+    monkeypatch.setattr(cli, "evolve_klein_gordon", blow_up)
+    out = str(tmp_path / "nan")
+    code = main(["compare-kg", "--out", out, "--lattice-radius", "4",
+                 "--dt", "0.0625", "--horizon", "0.25"])
+    assert code == EXIT_SOLVER
+    rep = _read_report(out)
+    assert (rep["command"], rep["passed"]) == ("compare-kg", False)
+    assert rep["non_finite_time"] == 0.1875
+    assert "t = 0.1875 (frame 3 of 5)" in rep["error"]
 
 
 # a JSON value of a type that each annotation refuses

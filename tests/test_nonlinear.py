@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import difference_expansion, plane_wave
 
+from spintorus import nonlinear as nl
 from spintorus.clifford import build_gamma
 from spintorus.nonlinear import (
     PowerSeriesNonlinearity,
@@ -29,6 +31,7 @@ from spintorus.nonlinear import (
     matrix_weights,
     multinomial_split,
     load_nonlinearity_file,
+    padded_grid_size,
 )
 from spintorus.spectral import (
     FrequencyLattice,
@@ -36,6 +39,7 @@ from spintorus.spectral import (
     apply_constant,
     apply_matrices,
     random_field,
+    to_grid,
 )
 
 
@@ -315,6 +319,85 @@ def test_left_multiplied_series_is_the_applied_value(rng, d):
             assert support(folded) == support(F)
             assert np.array_equal(evaluate_coefficients(folded, coeffs, lat),
                                   apply_constant(mat, evaluate_coefficients(F, coeffs, lat)))
+
+
+# ---------------------------------------------------------------------------
+# the diagonal power class
+
+
+def _general(F):
+    """F with the diagonal-class marker cleared: evaluate takes the
+    power-table loop."""
+    G = copy.copy(F)
+    G._diagonal = None
+    return G
+
+
+def _grid(rng, d, radius, d0):
+    """One random frame on its cubic padded grid, component-major."""
+    lat = FrequencyLattice(d, radius)
+    return to_grid(_random_batch(rng, (), lat, d0), d, padded_grid_size(lat, 3))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_diagonal_cubic_is_bit_identical_to_the_general_loop(rng, d):
+    # coefficients +-1 and +-i: the reordered products are exact
+    g = build_gamma(d)
+    psi = _grid(rng, d, 4, g.d0)
+    cubic = bundled_cubic(g.d0)
+    for F in (cubic, left_multiply(g.beta, cubic), left_multiply(1j * g.beta, cubic)):
+        assert F._diagonal[0] == 3
+        assert np.array_equal(evaluate(F, psi), evaluate(_general(F), psi))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5])
+def test_diagonal_series_matches_the_general_loop(rng, e):
+    psi = _grid(rng, 1, 4, 4)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    F = PowerSeriesNonlinearity(4, {tuple(e * (k == a) for k in range(4)): c[a] * np.eye(4)[a]
+                                    for a in range(4)})
+    assert F._diagonal[0] == e
+    got, want = evaluate(F, psi), evaluate(_general(F), psi)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+E0, E1 = np.eye(2)
+
+
+@pytest.mark.parametrize("terms", [
+    {(3, 0): E1, (0, 3): E0},            # each term written to the other component
+    {(3, 0): E0, (0, 3): E0 + E1},       # two terms for component 0
+    {(3, 0): E0, (0, 2): E1},            # mixed exponents
+    {(3, 0): E0},                        # component 1 has no term
+    {(2, 1): E0, (0, 3): E1},            # a coupled monomial
+], ids=["crossed", "two-terms", "mixed", "unwritten", "coupled"])
+def test_other_series_take_the_general_loop(rng, terms):
+    F = PowerSeriesNonlinearity(2, terms)
+    assert F._diagonal is None
+    psi = _grid(rng, 1, 4, 2)
+    ref = naive_evaluate(F, psi)
+    assert np.abs(evaluate(F, psi) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_cubic_is_evaluated_in_one_output_buffer(rng, monkeypatch):
+    # d = 3, N = 8: the 33^3 x 4 padded grid of one frame (2.3 MB); the power
+    # table held psi^2, psi^3 and the output at once
+    psi = _grid(rng, 3, 8, 4)
+    F = bundled_cubic(4)
+    tracemalloc.start()
+    try:
+        out = evaluate(F, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
+    calls = []
+    powers = nl._powers
+    monkeypatch.setattr(nl, "_powers", lambda psi, top: calls.append(top) or powers(psi, top))
+    evaluate(F, psi)
+    assert calls == []
+    evaluate(bundled_geometric(4, ratio=0.5, degree=3), psi)
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,9 @@ def test_cubic_solve_contracts_and_matches_oracle():
 
 def _check_benchmark_sets(monkeypatch, name, seeds):
     """Run perfbench workload ``name`` on the input sets ``seeds`` against its
-    reference fingerprints; the workload module is imported read-only, with
-    no bytecode cache."""
+    reference fingerprints and its output checks (for ``kg_d3`` the distance
+    to the Picard trajectory too); the workload module is imported
+    read-only, with no bytecode cache."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -229,10 +230,13 @@ def _check_benchmark_sets(monkeypatch, name, seeds):
     spec.loader.exec_module(workloads)
     ref = workloads.load_reference(name)["inputs"]
     for seed in seeds:
-        out = workloads.run_op(workloads.build(name, seed))
+        inputs = workloads.build(name, seed)
+        out = workloads.run_op(inputs)
         fp = workloads.library_fingerprint(name, out)
         assert workloads.compare(fp, ref[str(seed)]) == []
         assert workloads.library_checks(name, out) == []
+        if name == "kg_d3":
+            assert workloads.kg_cross_check(inputs, out) == []
 
 
 def test_solve_matches_benchmark_fingerprints(monkeypatch):
@@ -247,6 +251,12 @@ def test_rk4_matches_benchmark_fingerprints(monkeypatch):
     # of the 32 rk4_long_d1 sets, 14 drifts most (2.7e-7 of |D|), then 4
     # (1.4e-7), against the 1e-6 tolerance.
     _check_benchmark_sets(monkeypatch, "rk4_long_d1", (14, 4))
+
+
+def test_klein_gordon_matches_benchmark_fingerprints(monkeypatch):
+    # kg_d3 is the one workload no benchmark gate runs.  Of its 32 sets, 10
+    # and 3 drift most from the reference (2.0e-8 of |D|).
+    _check_benchmark_sets(monkeypatch, "kg_d3", (10, 3))
 
 
 def _map_case():
