@@ -179,9 +179,7 @@ def _jsonable(obj):
 
 
 def _write_report(cfg: RunConfig, payload: dict) -> str:
-    payload = dict(payload)
-    payload["config"] = _jsonable(asdict(cfg))
-    payload["version"] = __version__
+    payload = dict(payload, config=asdict(cfg), version=__version__)
     path = os.path.join(cfg.out, "report.json")
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
@@ -380,8 +378,9 @@ def _solve_run(cfg: RunConfig, setup) -> int:
         res.trajectory, scfg.nonlinearity, g, 1.0
     )
     mon = sobolev_monitor(res.trajectory, scfg.s)
+    diagnostics = _jsonable(res.diagnostics)
     save_trajectory(res.trajectory, cfg.out, extra={
-        "diagnostics": _jsonable(res.diagnostics),
+        "diagnostics": diagnostics,
         "command": "solve",
     })
     _write_solve_csv(os.path.join(cfg.out, "diagnostics.csv"),
@@ -394,7 +393,7 @@ def _solve_run(cfg: RunConfig, setup) -> int:
         "converged": True,
         "relative_defect": rel_defect,
         "sobolev_ratio": mon["ratio"],
-        "diagnostics": _jsonable(res.diagnostics),
+        "diagnostics": diagnostics,
         "passed": bool(ok),
     })
     return EXIT_OK if ok else EXIT_INVARIANT

@@ -61,7 +61,7 @@ def save_trajectory(tr: Trajectory, directory: str, extra: dict | None = None) -
         "radius": tr.lattice.radius,
         "d0": tr.d0,
         "n_frames": tr.n_frames,
-        "times": [float(t) for t in tr.times],
+        "dt": float(tr.dt),
     }
     if extra:
         manifest.update(extra)
@@ -74,10 +74,9 @@ def save_trajectory(tr: Trajectory, directory: str, extra: dict | None = None) -
 def load_trajectory(directory: str) -> Trajectory:
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    times = np.array(manifest["times"], dtype=float)
     fields = [
         load_field(os.path.join(directory, "frames", f"frame_{k:05d}.spf"))
         for k in range(int(manifest["n_frames"]))
     ]
     frames = np.stack([f.coeffs for f in fields])
-    return Trajectory(fields[0].lattice, fields[0].d0, times, frames)
+    return Trajectory(fields[0].lattice, fields[0].d0, float(manifest["dt"]), frames)

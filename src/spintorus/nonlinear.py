@@ -72,6 +72,12 @@ class PowerSeriesNonlinearity:
                               np.array([diagonal[a][1] for a in range(self.d0)]))
         self._top = max((e for factors, _ in self._support for _, e in factors),
                         default=0)
+        # the highest power a lowered monomial of jacobian_product reads: a
+        # one-factor psi_b^e lowers to psi_b^{e-1}; a product keeps its other
+        # factors, so its largest exponent is read when another is lowered
+        self._jacobian_top = max((factors[0][1] - 1 if len(factors) == 1
+                                  else max(e for _, e in factors)
+                                  for factors, _ in self._support), default=0)
         self.max_degree = max((sum(p) for p in self.terms), default=0)
 
     def is_zero(self) -> bool:
@@ -225,7 +231,7 @@ def jacobian_product(F: PowerSeriesNonlinearity, psi, v) -> np.ndarray:
     one or many values; the result has the memory layout of psi, as in evaluate."""
     psi = np.asarray(psi, dtype=np.complex128)
     out = np.zeros_like(psi)
-    powers = _powers(psi, F._top)
+    powers = _powers(psi, F._jacobian_top)
     for factors, coeffs in F._support:
         for b, eb in factors:
             # d/dpsi_b lowers the factor psi_b^eb by one (drops it at eb = 1)

@@ -136,11 +136,10 @@ def _modulation_densities(tr: Trajectory, sign: int) -> tuple[int, np.ndarray]:
     s = 2^{-e} dist in [1, 2) the annulus is lowpass(s) at scale e - 1 and
     1 - lowpass(s) at scale e, so one profile evaluation serves both.
     """
-    if tr.n_frames < 2:
-        raise ValueError("modulation norms need at least 2 frames")
+    t_win = window_length(tr)  # raises below two frames, before the transform
     m = tr.n_frames
     spec = _spinor_density(time_transform(tr.frames))
-    spec *= window_length(tr) / m**2
+    spec *= t_win / m**2
     dist = modulation_distance(tr, sign).reshape(m, -1)
     jmin, jmax = covering_scale_range(dist)
     n = dist.shape[1]
@@ -315,7 +314,7 @@ def standard_probe_set(
         ph = np.exp(-1j * times[:, None] * lattice.bracket.ravel()[None, :])
         ph = ph.reshape((n_frames,) + lattice.shape)[..., None]
         frames = ph * a[None] + np.conj(ph) * b[None] + c[None]
-        out.append(Trajectory(lattice, d0, times, frames))
+        out.append(Trajectory(lattice, d0, dt, frames))
     return out
 
 
@@ -337,7 +336,7 @@ def projector_bound_probe(
         if denom <= 0.0:
             continue
         frames = apply_matrices(projectors[tr.lattice], tr.frames)
-        proj = Trajectory(tr.lattice, tr.d0, tr.times, frames)
+        proj = Trajectory(tr.lattice, tr.d0, tr.dt, frames)
         num = solution_norm(proj, sigma, sign).value
         ratios.append(num / denom)
         worst = max(worst, num / denom)

@@ -221,7 +221,6 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
         raise ValueError(f"initial data size {data_norm} exceeds epsilon={cfg.epsilon}")
     F = cfg.nonlinearity if cfg.nonlinearity is not None else PowerSeriesNonlinearity(g.d0, {})
     f = left_multiply(1j * g.beta, F)  # the integrand i beta F in one evaluation
-    times = cfg.dt * np.arange(cfg.n_frames)
     isym, lam = _dirac_generator(g, lattice, 1.0)
     step = np.sin(cfg.dt * lam)[..., None, None] * isym  # U(dt)
     step += np.cos(cfg.dt * lam)[..., None, None] * np.eye(g.d0)
@@ -270,9 +269,9 @@ def picard_solve(cfg: SolveConfig, psi0: SpinorField) -> PicardResult:
             if s == -1:
                 np.subtract(psi, branch, out=branch)
             diagnostics[key] = solution_norm(
-                Trajectory(lattice, g.d0, times, branch), cfg.d / 2.0, s).value
+                Trajectory(lattice, g.d0, cfg.dt, branch), cfg.d / 2.0, s).value
         diagnostics["ball_radius"] = cfg.epsilon
-    return PicardResult(Trajectory(lattice, g.d0, times, psi), diagnostics)
+    return PicardResult(Trajectory(lattice, g.d0, cfg.dt, psi), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ def evolve_dirac_rk4(
         else:
             w = apply_matrices(half, apply_matrices(half, w))
         frames[k] = w
-    return _finite(Trajectory(lattice, g.d0, dt * np.arange(n_frames), frames))
+    return _finite(Trajectory(lattice, g.d0, dt, frames))
 
 
 def _finite(tr: Trajectory) -> Trajectory:
@@ -336,9 +335,9 @@ def _finite(tr: Trajectory) -> Trajectory:
     bad = ~np.isfinite(tr.frames.reshape(tr.n_frames, -1)).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        err = FloatingPointError(f"non-finite frame at t = {tr.times[k]:.6g} "
+        err = FloatingPointError(f"non-finite frame at t = {tr.dt * k:.6g} "
                                  f"(frame {k} of {tr.n_frames})")
-        err.time = float(tr.times[k])
+        err.time = tr.dt * k
         raise err
     return tr
 
@@ -424,7 +423,6 @@ def evolve_klein_gordon(
     n_frames = frame_count(dt, horizon)
     lattice = state.u.lattice
     omega = kg_frequencies(lattice, mass, dt)
-    times = dt * np.arange(n_frames)
     u = state.u.coeffs.copy()
     v = state.v.coeffs.copy()
     frames = np.empty((n_frames,) + lattice.shape + (state.u.d0,), dtype=np.complex128)
@@ -446,7 +444,7 @@ def evolve_klein_gordon(
             v = v + dt * _second_order_rhs(u, F, g, lattice, mass, h, grid)
         u, v = half_rotate(u, v)
         frames[k] = u
-    return _finite(Trajectory(lattice, state.u.d0, times, frames))
+    return _finite(Trajectory(lattice, state.u.d0, dt, frames))
 
 
 def kg_energy(state_u: np.ndarray, state_v: np.ndarray,

@@ -347,36 +347,29 @@ def project_dirac(g: GammaSet, f: SpinorField, sign: int) -> SpinorField:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled time sequence of spinor fields on one lattice."""
+    """Time sequence of spinor fields on one lattice: frame k is at time
+    dt·k, so the grid is uniform by construction."""
 
     lattice: FrequencyLattice
     d0: int
-    times: np.ndarray  # (M,)
+    dt: float
     frames: np.ndarray  # (M,) + lattice.shape + (d0,)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 1:
+        if self.frames.shape[1:] != self.lattice.shape + (self.d0,):
+            raise ValueError("frame array shape does not match the lattice")
+        if len(self.frames) < 1:
             raise ValueError("a trajectory needs at least one frame")
-        if self.frames.shape != (self.times.size,) + self.lattice.shape + (self.d0,):
-            raise ValueError("frame array shape does not match times/lattice")
-        if self.times.size > 1:
-            # times dt*k are each rounded, so a step may be off by ~2 ulps
-            # of the largest time; allow that, and nothing more
-            steps = np.diff(self.times)
-            tol = 4.0 * np.spacing(np.abs(self.times).max())
-            if np.abs(steps - steps[0]).max() > tol:
-                raise ValueError("time grid must be uniform")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"time step must be positive and finite, got {self.dt}")
 
     @property
     def n_frames(self) -> int:
-        return self.times.size
+        return self.frames.shape[0]
 
     @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.n_frames)
 
     def frame(self, k: int) -> SpinorField:
         return SpinorField(self.lattice, self.d0, self.frames[k])

@@ -70,7 +70,7 @@ def modulation_block(tr: Trajectory, j: int, sign: int) -> Trajectory:
     spec = np.fft.fft(tr.frames, axis=0)
     spec *= modulation_symbol(tr, j, sign)[..., None]
     out = np.fft.ifft(spec, axis=0)
-    return Trajectory(tr.lattice, tr.d0, tr.times, out)
+    return Trajectory(tr.lattice, tr.d0, tr.dt, out)
 
 
 def modulation_norm(tr: Trajectory, sign: int) -> float:

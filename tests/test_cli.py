@@ -152,8 +152,8 @@ def test_solve_d3_bundled_cubic(tmp_path):
 
 
 def test_solve_long_non_dyadic_grid(tmp_path):
-    # 0.05 * k rounds differently near t = 1,000 than near 0: the 20,481
-    # frame times are uniform up to rounding, which the trajectory accepts
+    # 0.05 * k rounds differently near t = 1,000 than near 0; the trajectory
+    # stores dt, not its 20,481 frame times, so no rounding can fail a check
     out = str(tmp_path / "sd")
     code = main(["solve", "--out", out, "--lattice-radius", "1",
                  "--dt", "0.05", "--horizon", "1024"])

@@ -176,10 +176,9 @@ def _free_wave_trajectory(lat, xi0, sign, periods=8, m=64):
     br = japanese_bracket(xi0)
     t_win = 2 * np.pi * periods / br
     dt = t_win / m
-    times = dt * np.arange(m)
     w = plane_wave(lat, 2, xi0, [1.0, 0.0]).coeffs
-    phase = np.exp(-1j * sign * br * times)
-    return Trajectory(lat, 2, times, phase[:, None, None] * w[None])
+    phase = np.exp(-1j * sign * br * dt * np.arange(m))
+    return Trajectory(lat, 2, dt, phase[:, None, None] * w[None])
 
 
 def test_free_wave_has_zero_matching_modulation():
@@ -198,9 +197,8 @@ def test_static_field_modulation_support():
     xi0 = [5]
     br = japanese_bracket(xi0)
     m = 32
-    times = 0.1 * np.arange(m)
     w = plane_wave(lat, 2, xi0, [1.0, 0.0]).coeffs
-    tr = Trajectory(lat, 2, times, np.repeat(w[None], m, axis=0))
+    tr = Trajectory(lat, 2, 0.1, np.repeat(w[None], m, axis=0))
     for j in range(-2, 6):
         out_norm = np.linalg.norm(modulation_block(tr, j, +1).frames)
         expected_nonzero = 2.0**j <= br <= 2.0 ** (j + 2)
@@ -213,12 +211,11 @@ def test_static_field_modulation_support():
 def test_modulation_telescoping_away_from_characteristic(rng):
     lat = FrequencyLattice(1, 4)
     m = 48
-    times = 0.07 * np.arange(m)
     frames = (
         rng.standard_normal((m,) + lat.shape + (2,))
         + 1j * rng.standard_normal((m,) + lat.shape + (2,))
     )
-    tr = Trajectory(lat, 2, times, frames)
+    tr = Trajectory(lat, 2, 0.07, frames)
     dist = modulation_distance(tr, +1)
     jmin, jmax = covering_scale_range(dist)
     acc = np.zeros_like(frames)
@@ -242,7 +239,7 @@ def test_covering_range_uses_exact_binary_exponents():
 
 def test_modulation_needs_two_frames(rng):
     lat = FrequencyLattice(1, 2)
-    tr = Trajectory(lat, 2, np.array([0.0]), np.zeros((1,) + lat.shape + (2,), complex))
+    tr = Trajectory(lat, 2, 0.1, np.zeros((1,) + lat.shape + (2,), complex))
     with pytest.raises(ValueError):
         modulation_block(tr, 0, +1)
 

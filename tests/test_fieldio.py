@@ -49,15 +49,20 @@ def test_load_field_rejects_non_finite_coefficients(tmp_path, rng):
 def test_trajectory_roundtrip(tmp_path, rng):
     lat = FrequencyLattice(1, 5)
     frames = rng.standard_normal((4,) + lat.shape + (2,)) * (1 + 0j)
-    tr = Trajectory(lat, 2, 0.25 * np.arange(4), frames)
+    tr = Trajectory(lat, 2, 0.1, frames)
     save_trajectory(tr, str(tmp_path / "run"), extra={"note": "test"})
     back = load_trajectory(str(tmp_path / "run"))
     assert np.array_equal(back.frames, tr.frames)
-    assert np.allclose(back.times, tr.times)
+    assert back.dt == tr.dt
     with open(tmp_path / "run" / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["note"] == "test"
     assert manifest["n_frames"] == 4
+    manifest["dt"] = 0
+    with open(tmp_path / "run" / "manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="time step"):
+        load_trajectory(str(tmp_path / "run"))
 
 
 def test_shorter_trajectory_removes_stale_frames(tmp_path, rng):
@@ -66,7 +71,7 @@ def test_shorter_trajectory_removes_stale_frames(tmp_path, rng):
     lat = FrequencyLattice(1, 3)
     run = tmp_path / "run"
     longer, shorter = (
-        Trajectory(lat, 2, 0.5 * np.arange(m), rng.standard_normal((m,) + lat.shape + (2,)) + 0j)
+        Trajectory(lat, 2, 0.5, rng.standard_normal((m,) + lat.shape + (2,)) + 0j)
         for m in (6, 3))
     save_trajectory(longer, str(run))
     (run / "frames" / "notes.txt").write_text("kept")

@@ -400,6 +400,25 @@ def test_cubic_is_evaluated_in_one_output_buffer(rng, monkeypatch):
     assert calls == [3]
 
 
+def test_jacobian_builds_only_the_powers_it_reads(rng, monkeypatch):
+    # a lowered one-factor psi_b^e reads psi_b^(e-1); a product keeps its
+    # largest exponent; J v is bit-identical to the product on the full table
+    psi = _grid(rng, 1, 4, 2)
+    v = _grid(rng, 1, 4, 2)
+    calls = []
+    powers = nl._powers
+    monkeypatch.setattr(nl, "_powers", lambda psi, top: calls.append(top) or powers(psi, top))
+    coupled = PowerSeriesNonlinearity(2, {(3, 1): _one_hot(2, 1, 0.5j), (0, 2): _one_hot(2, 0)})
+    for F, top in ((bundled_cubic(2), 2), (bundled_geometric(2, ratio=0.5, degree=3), 2),
+                   (coupled, 3)):
+        calls.clear()
+        out = jacobian_product(F, psi, v)
+        assert calls == [top]
+        full = copy.copy(F)
+        full._jacobian_top = F._top
+        assert np.array_equal(out, jacobian_product(full, psi, v))
+
+
 # ---------------------------------------------------------------------------
 # combinatorics
 

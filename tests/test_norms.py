@@ -46,7 +46,7 @@ def rng():
 
 def _static_trajectory(f, m=9, dt=0.125):
     frames = np.repeat(f.coeffs[None], m, axis=0)
-    return Trajectory(f.lattice, f.d0, dt * np.arange(m), frames)
+    return Trajectory(f.lattice, f.d0, dt, frames)
 
 
 def _free_wave_trajectory(lat, xi0, sign=+1, periods=6, m=48, d0=2, spinor=None):
@@ -58,7 +58,7 @@ def _free_wave_trajectory(lat, xi0, sign=+1, periods=6, m=48, d0=2, spinor=None)
         spinor = [1.0] + [0.0] * (d0 - 1)
     w = plane_wave(lat, d0, xi0, spinor).coeffs
     phase = np.exp(-1j * sign * br * times).reshape((-1,) + (1,) * (lat.d + 1))
-    return Trajectory(lat, d0, times, phase * w[None])
+    return Trajectory(lat, d0, dt, phase * w[None])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_modulation_densities_match_dense_per_scale_formula(d, radius, m, dt, si
     rng = np.random.default_rng(seed)
     shape = (m,) + lat.shape + (2,)
     frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    tr = Trajectory(lat, 2, (2 * np.pi / m if dt is None else dt) * np.arange(m), frames)
+    tr = Trajectory(lat, 2, 2 * np.pi / m if dt is None else dt, frames)
     if dt is None and m == 8:
         dist = modulation_distance(tr, sign)
         assert {0.0, 1.0, 2.0, 4.0} <= set(dist.ravel().tolist())
@@ -254,11 +254,11 @@ def test_modulation_norm_window_doubling_stability():
     w = plane_wave(lat, 2, [2], [1.0, 0.0]).coeffs
     br = japanese_bracket([2])
     frames = (envelope * np.exp(-1j * br * times))[:, None, None] * w[None]
-    tr1 = Trajectory(lat, 2, times, frames)
+    tr1 = Trajectory(lat, 2, dt, frames)
     times2 = dt * np.arange(2 * m)
     envelope2 = np.exp(-((times2 - 3.2) ** 2) / 0.3)
     frames2 = (envelope2 * np.exp(-1j * br * times2))[:, None, None] * w[None]
-    tr2 = Trajectory(lat, 2, times2, frames2)
+    tr2 = Trajectory(lat, 2, dt, frames2)
     v1 = modulation_norm(tr1, +1)
     v2 = modulation_norm(tr2, +1)
     assert abs(v1 - v2) <= 0.1 * v1
@@ -276,12 +276,12 @@ def test_modulation_norm_window_doubling_stability():
 
 def test_block_norm_zero_and_homogeneity(rng):
     lat = FrequencyLattice(2, 4)
-    zero = Trajectory(lat, 2, np.arange(4) * 0.1,
+    zero = Trajectory(lat, 2, 0.1,
                       np.zeros((4,) + lat.shape + (2,), complex))
     assert block_norm(zero, 1, +1).value == 0.0
     tr = standard_probe_set(lat, 2, 1, 8, 0.13, seed=4)[0]
     v1 = block_norm(tr, 1, +1).value
-    tripled = Trajectory(tr.lattice, tr.d0, tr.times, 3.0 * tr.frames)
+    tripled = Trajectory(tr.lattice, tr.d0, tr.dt, 3.0 * tr.frames)
     v3 = block_norm(tripled, 1, +1).value
     assert v3 == pytest.approx(3.0 * v1, rel=1e-10)
 
@@ -320,7 +320,7 @@ def _per_piece_solution_norm(tr, sigma, sign):
     breakdown = {}
     for j in range(0, jmax + 1):
         sym = radial_symbol(tr.lattice, j)[None, ..., None]
-        piece = Trajectory(tr.lattice, tr.d0, tr.times, tr.frames * sym)
+        piece = Trajectory(tr.lattice, tr.d0, tr.dt, tr.frames * sym)
         if not np.any(np.abs(piece.frames) > 0.0):
             continue
         block = _linalg_frame_norms(piece.frames).max() + modulation_norm(piece, sign)
@@ -352,7 +352,7 @@ def test_solution_norm_skips_only_zero_pieces():
     keys = list(_per_piece_solution_norm(tr, 1.0, +1))
     assert keys == [1, 2]
     assert list(solution_norm(tr, 1.0, +1).breakdown) == keys
-    tiny = Trajectory(lat, 2, tr.times, 1e-170 * tr.frames)
+    tiny = Trajectory(lat, 2, tr.dt, 1e-170 * tr.frames)
     assert list(solution_norm(tiny, 1.0, +1).breakdown) == keys
 
 
@@ -366,6 +366,14 @@ def test_solution_norm_runs_one_time_fft(monkeypatch):
     rep = solution_norm(tr, 1.0, +1)
     assert len(rep.breakdown) > 1
     assert len(calls) == 1
+
+
+def test_solution_norm_needs_two_frames(monkeypatch):
+    lat = FrequencyLattice(1, 4)
+    tr = _static_trajectory(plane_wave(lat, 2, [3], [1.0, 0.0]), m=1)
+    monkeypatch.setattr(norms_mod, "time_transform", None)  # never reached
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        solution_norm(tr, 1.0, +1)
 
 
 def test_solution_norm_memory_stays_pinned():
@@ -461,7 +469,7 @@ def test_probe_scaling_invariance():
     lat = FrequencyLattice(2, 4)
     trs = standard_probe_set(lat, g.d0, 3, 10, 0.15, seed=9)
     r1 = projector_bound_probe(g, trs)["max_ratio"]
-    scaled = [Trajectory(t.lattice, t.d0, t.times, 7.0 * t.frames) for t in trs]
+    scaled = [Trajectory(t.lattice, t.d0, t.dt, 7.0 * t.frames) for t in trs]
     r2 = projector_bound_probe(g, scaled)["max_ratio"]
     assert r1 == pytest.approx(r2, rel=1e-12)
 

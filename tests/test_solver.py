@@ -501,7 +501,7 @@ def test_branch_norms_are_norms_of_projected_trajectory():
     for sign, key in ((+1, "solution_norm_plus"), (-1, "solution_norm_minus")):
         frames = np.stack([project_dirac(G1, tr.frame(k), sign).coeffs
                            for k in range(tr.n_frames)])
-        branch = Trajectory(tr.lattice, tr.d0, tr.times, frames)
+        branch = Trajectory(tr.lattice, tr.d0, tr.dt, frames)
         expect = solution_norm(branch, 0.5, sign).value
         assert res.diagnostics[key] == pytest.approx(expect, rel=1e-10)
 
@@ -819,7 +819,7 @@ def test_residual_of_sampled_free_solution_is_rounding():
             for t in times
         ]
     )
-    assert _relative_residual(Trajectory(LAT16, 2, times, frames), None, G1) <= 1e-20
+    assert _relative_residual(Trajectory(LAT16, 2, dt, frames), None, G1) <= 1e-20
 
 
 def test_residual_refinement_rate_on_solver_output():
@@ -849,7 +849,7 @@ def test_residual_matches_covariant_form(rng, d):
     times = dt * np.arange(5)
     frames = np.stack([random_field(lat, g.d0, rng).coeffs for _ in range(5)])
     frames /= np.sqrt(lat.size)
-    tr = Trajectory(lat, g.d0, times, frames)
+    tr = Trajectory(lat, g.d0, dt, frames)
 
     def back(lam, vec, t, x):
         u = (vec * np.exp(1j * t * lam)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))
@@ -883,8 +883,7 @@ def test_residual_flags_wrong_trajectories():
 
 
 def test_residual_needs_three_frames(rng):
-    tr = Trajectory(LAT16, 2, np.array([0.0, 0.1]),
-                    np.zeros((2,) + LAT16.shape + (2,), complex))
+    tr = Trajectory(LAT16, 2, 0.1, np.zeros((2,) + LAT16.shape + (2,), complex))
     with pytest.raises(ValueError):
         dirac_residual(tr, None, G1)
 
@@ -900,10 +899,10 @@ def test_monitor_free_flow_flat(rng):
             for t in times
         ]
     )
-    mon = sobolev_monitor(Trajectory(LAT16, 2, times, frames), 1.5)
+    mon = sobolev_monitor(Trajectory(LAT16, 2, dt, frames), 1.5)
     assert abs(mon["ratio"] - 1.0) <= 1e-12
     assert mon["ok"]
-    mon2 = sobolev_monitor(Trajectory(LAT16, 2, times, 2.0 * frames), 1.5)
+    mon2 = sobolev_monitor(Trajectory(LAT16, 2, dt, 2.0 * frames), 1.5)
     assert mon2["sup"] >= 2.0 * mon["sup"] * (1 - 1e-12)
 
 

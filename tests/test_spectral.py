@@ -449,15 +449,16 @@ def test_partial_derivative_against_finite_differences(rng):
 def test_trajectory_validation(rng):
     lat = FrequencyLattice(1, 3)
     frames = rng.standard_normal((4,) + lat.shape + (2,)).astype(complex)
-    tr = Trajectory(lat, 2, np.array([0.0, 0.1, 0.2, 0.3]), frames)
-    assert tr.dt == pytest.approx(0.1)
-    with pytest.raises(ValueError, match="uniform"):
-        Trajectory(lat, 2, np.array([0.0, 0.1, 0.35, 0.4]), frames)
-    # near t = 1,000 the steps of 0.05 * k differ by about 2e-13, more than
-    # 1e-12 of the step; a time moved by 1e-9 is no rounding
-    times = 0.05 * np.arange(20_481)
-    frames = np.zeros((times.size,) + lat.shape + (2,), complex)
-    assert Trajectory(lat, 2, times, frames).n_frames == 20_481
-    times[10_000] += 1e-9
-    with pytest.raises(ValueError, match="uniform"):
-        Trajectory(lat, 2, times, frames)
+    tr = Trajectory(lat, 2, 0.1, frames)
+    assert tr.dt == 0.1 and tr.n_frames == 4
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="time step"):
+            Trajectory(lat, 2, dt, frames)
+    for bad in (frames[:, :-1], frames[..., :1], frames[0], frames[:0]):
+        with pytest.raises(ValueError):
+            Trajectory(lat, 2, 0.1, bad)
+    # the times are dt * k, each rounded once: near t = 1,000 the steps of
+    # 0.05 * k differ by about 2e-13, and nothing compares them
+    frames = np.zeros((20_481,) + lat.shape + (2,), complex)
+    times = Trajectory(lat, 2, 0.05, frames).times
+    assert np.array_equal(times, 0.05 * np.arange(20_481))
